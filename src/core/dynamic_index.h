@@ -30,10 +30,8 @@
 // new level *off* the lock on the ThreadPool while inserts, deletes, and
 // queries proceed; the buffer is allowed to grow past capacity while a
 // merge is in flight (at most one runs at a time) and the deferred carry
-// drains when it completes. Without a pool, carries run synchronously, and
-// the structure behaves exactly like the original hand-rolled
-// DynamicOrpKwIndex (core/dynamic_orp_kw.h is now an alias for this
-// template over OrpKwIndex).
+// drains when it completes. Without a pool, carries run synchronously
+// inside the update call.
 //
 // Budgeted queries (footnote 4): the OpsBudget is shared across the buffer
 // scan and every level; the first component to exhaust it ends the query —
@@ -94,9 +92,6 @@ class DynamicIndex {
  public:
   using GeomType = typename Family::DynamicGeomType;
   using RegionType = typename Family::DynamicRegionType;
-  // Legacy spellings kept for the ORP-KW alias (core/dynamic_orp_kw.h).
-  using PointType = GeomType;
-  using BoxType = RegionType;
 
   /// One immutable static level. Public so the auditor can walk the level
   /// set through DebugAuditView(); never mutated after construction.

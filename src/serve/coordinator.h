@@ -1,21 +1,28 @@
 // Copyright 2026 The kwsc Authors. Licensed under the Apache License 2.0.
 //
-// The scatter-gather coordinator (DESIGN.md §6).
+// The scatter-gather path (DESIGN.md §6) and the static Coordinator.
 //
-// One Coordinator fronts S ShardReplicas built from one ShardPlan. Run()
-// fans a batch out to every replica (each holds a disjoint slice of the
-// verbose set, so every shard sees every query), gathers the per-shard
-// sorted candidate rows, and merges them with serve/merge.h — naive full
-// gather for reporting queries, the threshold-selection protocol for top-t.
+// Every Table 1 problem is decomposable: the answer over disjoint shards is
+// the union of the per-shard answers. ScatterGather is the one place that
+// uses it. It owns S replicas of any type modelling ScatterReplica — a
+// RunBatch(batch) that answers the whole batch over the replica's slice as
+// one ShardAnswer of sorted global-id rows (serve/shard_replica.h) — and
+// Run() fans a batch out to every replica, gathers the answers in shard
+// order, and merges them with serve/merge.h: naive full gather for
+// reporting queries, the threshold-selection protocol (or naive gather +
+// truncate) for top-t. The two coordinators differ only in where their
+// replicas come from: Coordinator below builds static ShardReplicas from a
+// ShardPlan; DynamicCoordinator (serve/dynamic_shard_replica.h) routes
+// updates to DynamicShardReplicas.
 //
 // Process simulation: replicas share no mutable state with the coordinator
-// or each other (see serve/shard_replica.h), and the only data crossing the
-// replica boundary is what the merge protocols price in bytes. The fan-out
-// runs replicas on a private pool when parallel_fanout is set, or strictly
-// sequentially otherwise — the results are identical either way, because
-// each answer lands in its own slot and the gather folds them in shard
-// order. Sequential mode is what the scaling bench uses to measure clean
-// per-shard walls on machines with fewer cores than shards.
+// or each other, and the only data crossing the replica boundary is what
+// the merge protocols price in bytes. The fan-out runs replicas on a
+// private pool when parallel_fanout is set, or strictly sequentially
+// otherwise — the results are identical either way, because each answer
+// lands in its own slot and the gather folds them in shard order.
+// Sequential mode is what the scaling bench uses to measure clean per-shard
+// walls on machines with fewer cores than shards.
 //
 // Determinism contract (DESIGN.md §6d): coordinator rows are in canonical
 // ascending-id order and — with unlimited shard budgets — byte-identical to
@@ -26,12 +33,15 @@
 //
 // Observability: the optional registry accumulates serve.* counters —
 // batches/queries, per-shard fan-out, bytes shipped (actual vs. naive),
-// selection protocol rounds, budget exhaustions, and per-shard candidate
-// counts (the skew signal the keyword strategy is benchmarked on).
+// selection protocol rounds, budget exhaustions, per-shard candidate counts
+// (the skew signal the keyword strategy is benchmarked on), and, for the
+// dynamic coordinator, updates — plus the serve.num_shards gauge. Both
+// coordinators therefore export the same query-side names.
 
 #ifndef KWSC_SERVE_COORDINATOR_H_
 #define KWSC_SERVE_COORDINATOR_H_
 
+#include <concepts>
 #include <memory>
 #include <span>
 #include <string>
@@ -66,11 +76,19 @@ struct ServeOptions {
   bool parallel_fanout = true;
 };
 
-template <typename Index, typename Region = typename Index::BoxType>
-class Coordinator {
+/// What ScatterGather needs of a replica. Checked through a mutable
+/// reference, so a const RunBatch models it as well as a non-const one.
+template <typename R, typename Region>
+concept ScatterReplica =
+    requires(R& replica, std::span<const BatchQuery<Region>> batch) {
+      { replica.RunBatch(batch) } -> std::same_as<ShardAnswer>;
+    };
+
+template <typename ReplicaType, typename Region>
+  requires ScatterReplica<ReplicaType, Region>
+class ScatterGather {
  public:
-  using PointType = typename Index::PointType;
-  using Replica = ShardReplica<Index, Region>;
+  using Replica = ReplicaType;
 
   struct Result {
     /// One row per query, ascending global ids, truncated to top_t when
@@ -89,31 +107,6 @@ class Coordinator {
     double merge_micros = 0.0;
   };
 
-  /// Builds one replica per plan shard over private slices of
-  /// (points, corpus). The inputs are only read during construction.
-  Coordinator(const ShardPlan& plan, std::span<const PointType> points,
-              const Corpus& corpus, const FrameworkOptions& index_options,
-              const ServeOptions& options,
-              obs::MetricsRegistry* registry = nullptr)
-      : options_(options), registry_(registry) {
-    KWSC_CHECK(plan.members.size() == plan.num_shards);
-    KWSC_CHECK(points.size() == corpus.num_objects());
-    replicas_.reserve(plan.num_shards);
-    for (const std::vector<ObjectId>& members : plan.members) {
-      replicas_.push_back(std::make_unique<Replica>(
-          std::span<const ObjectId>(members), points, corpus, index_options,
-          options.threads_per_shard, options.per_shard_query_ops));
-    }
-    if (options_.parallel_fanout && replicas_.size() > 1) {
-      pool_ = std::make_unique<ThreadPool>(
-          static_cast<int>(replicas_.size()) - 1);
-    }
-    if (registry_ != nullptr) {
-      registry_->SetGauge("serve.num_shards",
-                          static_cast<double>(replicas_.size()));
-    }
-  }
-
   size_t num_shards() const { return replicas_.size(); }
   const Replica& replica(size_t s) const { return *replicas_[s]; }
 
@@ -123,8 +116,11 @@ class Coordinator {
     WallTimer timer;
     const size_t num_shards = replicas_.size();
     // Scatter: every shard runs the whole batch over its slice. Answers
-    // land in disjoint slots; shard 0 runs on the calling thread.
-    std::vector<typename Replica::BatchAnswer> answers(num_shards);
+    // land in disjoint slots; shard 0 runs on the calling thread. Without a
+    // pool the loop calls the replicas directly: a pool-less TaskGroup would
+    // run the same tasks inline, but it costs a std::function per shard on
+    // every single-query batch.
+    std::vector<ShardAnswer> answers(num_shards);
     if (pool_ != nullptr) {
       TaskGroup group(pool_.get());
       for (size_t s = 1; s < num_shards; ++s) {
@@ -156,22 +152,19 @@ class Coordinator {
       for (size_t s = 0; s < num_shards; ++s) {
         shard_rows[s] = &answers[s].rows[i];
       }
-      if (options_.top_t == 0) {
-        // Full reporting: the answer is the whole candidate set, so there
-        // is nothing for selection to save — both protocols ship it all.
-        const uint64_t naive = NaiveShipBytes(shard_rows);
-        out.bytes.naive += naive;
-        out.bytes.selection += naive;
-        out.rows[i] = MergeAllRows(shard_rows);
-      } else if (options_.selection_merge) {
+      if (options_.top_t > 0 && options_.selection_merge) {
         out.rows[i] = SelectTopT(shard_rows, options_.top_t, &out.bytes);
-      } else {
-        const uint64_t naive = NaiveShipBytes(shard_rows);
-        out.bytes.naive += naive;
-        out.bytes.selection += naive;
-        std::vector<ObjectId> merged = MergeAllRows(shard_rows);
-        if (merged.size() > options_.top_t) merged.resize(options_.top_t);
-        out.rows[i] = std::move(merged);
+        continue;
+      }
+      // Full gather. For full reporting the answer is the whole candidate
+      // set, so there is nothing for selection to save — both protocols
+      // ship it all.
+      const uint64_t naive = NaiveShipBytes(shard_rows);
+      out.bytes.naive += naive;
+      out.bytes.selection += naive;
+      out.rows[i] = MergeAllRows(shard_rows);
+      if (options_.top_t > 0 && out.rows[i].size() > options_.top_t) {
+        out.rows[i].resize(options_.top_t);
       }
     }
     out.merge_micros = timer.ElapsedMicros() - scatter_end_us;
@@ -193,11 +186,72 @@ class Coordinator {
     return out;
   }
 
+ protected:
+  /// Takes ownership of the (non-empty) replica set; one pool worker per
+  /// shard beyond the first when the fan-out is parallel.
+  ScatterGather(std::vector<std::unique_ptr<Replica>> replicas,
+                const ServeOptions& options, obs::MetricsRegistry* registry)
+      : options_(options),
+        registry_(registry),
+        replicas_(std::move(replicas)) {
+    KWSC_CHECK(!replicas_.empty());
+    if (options_.parallel_fanout && replicas_.size() > 1) {
+      pool_ = std::make_unique<ThreadPool>(
+          static_cast<int>(replicas_.size()) - 1);
+    }
+    if (registry_ != nullptr) {
+      registry_->SetGauge("serve.num_shards",
+                          static_cast<double>(replicas_.size()));
+    }
+  }
+
+  Replica& mutable_replica(size_t s) { return *replicas_[s]; }
+
+  /// serve.updates, for coordinators whose replicas take updates.
+  void CountUpdates(uint64_t n) {
+    if (registry_ != nullptr) registry_->AddCounter("serve.updates", n);
+  }
+
  private:
   ServeOptions options_;
   obs::MetricsRegistry* registry_;
   std::vector<std::unique_ptr<Replica>> replicas_;
   std::unique_ptr<ThreadPool> pool_;
+};
+
+/// ScatterGather over S static ShardReplicas built from one ShardPlan.
+template <typename Index, typename Region = typename Index::BoxType>
+class Coordinator : public ScatterGather<ShardReplica<Index, Region>, Region> {
+  using Base = ScatterGather<ShardReplica<Index, Region>, Region>;
+
+ public:
+  using PointType = typename Index::PointType;
+  using Replica = typename Base::Replica;
+
+  /// Builds one replica per plan shard over private slices of
+  /// (points, corpus). The inputs are only read during construction.
+  Coordinator(const ShardPlan& plan, std::span<const PointType> points,
+              const Corpus& corpus, const FrameworkOptions& index_options,
+              const ServeOptions& options,
+              obs::MetricsRegistry* registry = nullptr)
+      : Base(BuildReplicas(plan, points, corpus, index_options, options),
+             options, registry) {}
+
+ private:
+  static std::vector<std::unique_ptr<Replica>> BuildReplicas(
+      const ShardPlan& plan, std::span<const PointType> points,
+      const Corpus& corpus, const FrameworkOptions& index_options,
+      const ServeOptions& options) {
+    KWSC_CHECK(plan.members.size() == plan.num_shards);
+    KWSC_CHECK(points.size() == corpus.num_objects());
+    std::vector<std::unique_ptr<Replica>> replicas;
+    for (const std::vector<ObjectId>& members : plan.members) {
+      replicas.push_back(std::make_unique<Replica>(
+          std::span<const ObjectId>(members), points, corpus, index_options,
+          options.threads_per_shard, options.per_shard_query_ops));
+    }
+    return replicas;
+  }
 };
 
 }  // namespace kwsc

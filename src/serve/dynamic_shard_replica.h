@@ -1,17 +1,17 @@
 // Copyright 2026 The kwsc Authors. Licensed under the Apache License 2.0.
 //
-// Batch-dynamic shard replicas and their coordinator (DESIGN.md §6, §7).
+// Batch-dynamic shard replicas and their coordinator (DESIGN.md §6, §7e).
 //
-// The static serving path (serve/shard_replica.h) builds each replica once
-// from a ShardPlan slice and then only answers queries. This file is the
-// update-capable counterpart: each DynamicShardReplica owns a private
-// DynamicIndex<Family> (core/dynamic_index.h), so inserts and tombstone
-// deletes apply per shard with Bentley–Saxe carries — optionally rebuilt on
-// a background merge pool — while queries keep running against immutable
-// epoch snapshots. The DynamicCoordinator fronts S such replicas and serves
-// mixed update/query traffic: updates route to their owning shard, query
-// batches scatter-gather over all shards with the same merge protocols
-// (serve/merge.h) and byte accounting as the static Coordinator.
+// The static replicas (serve/shard_replica.h) are built once from a
+// ShardPlan slice and then only answer queries. A DynamicShardReplica is
+// the update-capable counterpart: it owns a private DynamicIndex<Family>
+// (core/dynamic_index.h), so inserts and tombstone deletes apply per shard
+// with Bentley–Saxe carries — optionally rebuilt on a background merge
+// pool — while queries keep running against immutable epoch snapshots.
+// Both replica kinds model the same ScatterReplica concept
+// (serve/coordinator.h), so DynamicCoordinator is the one ScatterGather
+// path over dynamic replicas plus what only a dynamic workload needs: id
+// assignment, routing, and the update and drain calls.
 //
 // Routing: a static plan is a function of the full corpus, which a dynamic
 // workload does not have up front. Dynamic arrivals therefore route by
@@ -34,13 +34,11 @@
 #include <algorithm>
 #include <memory>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/macros.h"
 #include "common/mutex.h"
-#include "common/ops_budget.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/dynamic_index.h"
@@ -48,14 +46,14 @@
 #include "core/query_engine.h"
 #include "obs/metrics.h"
 #include "serve/coordinator.h"
-#include "serve/merge.h"
+#include "serve/shard_replica.h"
 #include "text/document.h"
 
 namespace kwsc {
 
-/// One update in a mixed traffic stream, already routed to a shard. For
-/// kInsert, `global_id` is the coordinator-assigned id and geom/doc carry
-/// the payload; for kDelete only `global_id` is meaningful.
+/// One update in a mixed traffic stream. For kInsert, geom/doc carry the
+/// payload and the coordinator assigns `global_id`; for kDelete only
+/// `global_id` is meaningful.
 template <typename Geom>
 struct DynamicUpdate {
   enum class Kind : uint8_t { kInsert, kDelete };
@@ -72,19 +70,10 @@ class DynamicShardReplica {
   using GeomType = typename Family::DynamicGeomType;
   using Update = DynamicUpdate<GeomType>;
 
-  /// Same wire shape as the static replica's answer: sorted global-id rows
-  /// plus the shard's aggregate stats and local execution wall.
-  struct BatchAnswer {
-    std::vector<std::vector<ObjectId>> rows;
-    QueryStats stats;
-    uint64_t budget_exhaustions = 0;
-    double wall_micros = 0.0;
-  };
-
   DynamicShardReplica(const FrameworkOptions& options, size_t buffer_capacity,
                       uint64_t per_query_ops, ThreadPool* merge_pool = nullptr)
       : index_(options, buffer_capacity, merge_pool),
-        per_query_ops_(per_query_ops) {}
+        view_(&index_, per_query_ops) {}
 
   /// Applies a routed update run in arrival order. Contiguous runs of the
   /// same kind batch into one InsertBatch/DeleteBatch so a burst pays one
@@ -141,34 +130,26 @@ class DynamicShardReplica {
   /// Blocks until no carry is in flight on this shard.
   void WaitQuiescent() { index_.WaitQuiescent(); }
 
-  /// Runs the batch against the current epoch snapshot and translates rows
-  /// to sorted global ids. Queries here deliberately bypass QueryEngine:
-  /// snapshot reads are already wait-free, and batch parallelism in the
-  /// dynamic path comes from the shard fan-out, not intra-shard threads.
-  BatchAnswer RunBatch(std::span<const BatchQuery<Region>> batch) const
+  /// Runs the batch against the current epoch snapshot; rows leave in wire
+  /// form. Queries here deliberately bypass QueryEngine: snapshot reads are
+  /// already wait-free, and batch parallelism in the dynamic path comes
+  /// from the shard fan-out, not intra-shard threads.
+  ShardAnswer RunBatch(std::span<const BatchQuery<Region>> batch) const
       KWSC_EXCLUDES(mu_) {
-    BatchAnswer answer;
+    ShardAnswer answer;
     WallTimer timer;
     answer.rows.reserve(batch.size());
     for (const BatchQuery<Region>& q : batch) {
       QueryStats stats;
-      std::vector<ObjectId> row;
-      if (per_query_ops_ == 0) {
-        row = index_.Query(q.region, q.keywords, &stats);
-      } else {
-        OpsBudget budget(per_query_ops_);
-        row = index_.Query(q.region, q.keywords, &stats, &budget);
-      }
+      answer.rows.push_back(view_.Query(q.region, q.keywords, &stats));
       if (stats.budget_exhausted) ++answer.budget_exhaustions;
       MergeQueryStats(stats, &answer.stats);
-      std::sort(row.begin(), row.end());
-      {
-        // The map only grows, and every id the snapshot can emit was
-        // inserted (and therefore mapped) before the snapshot published.
-        MutexLock lock(&mu_);
-        for (ObjectId& id : row) id = to_global_[id];
-      }
-      answer.rows.push_back(std::move(row));  // Ascending map: still sorted.
+    }
+    {
+      // The map only grows, and every id a snapshot can emit was inserted
+      // (and therefore mapped, under this lock) before it published.
+      MutexLock lock(&mu_);
+      answer.SortToGlobal(to_global_);
     }
     answer.wall_micros = timer.ElapsedMicros();
     return answer;
@@ -185,64 +166,36 @@ class DynamicShardReplica {
   }
 
   DynamicIndex<Family> index_;
-  const uint64_t per_query_ops_;
+  const BudgetedIndexView<DynamicIndex<Family>, Region> view_;
   mutable Mutex mu_;
   /// Local id -> global id, ascending (ids are assigned in arrival order).
   std::vector<ObjectId> to_global_ KWSC_GUARDED_BY(mu_);
 };
 
-/// Fronts S dynamic replicas with the static Coordinator's scatter-gather
-/// and merge protocols, plus an update path. Reuses ServeOptions; the
-/// static plan fields it has no dynamic equivalent for (threads_per_shard)
-/// are ignored — see the routing note in the file comment.
+/// ScatterGather over S dynamic replicas, plus the update path. Reuses
+/// ServeOptions; threads_per_shard has no dynamic equivalent and is
+/// ignored — see the routing note in the file comment.
 template <typename Family,
           typename Region = typename Family::DynamicRegionType>
-class DynamicCoordinator {
+class DynamicCoordinator
+    : public ScatterGather<DynamicShardReplica<Family, Region>, Region> {
+  using Base = ScatterGather<DynamicShardReplica<Family, Region>, Region>;
+
  public:
   using GeomType = typename Family::DynamicGeomType;
-  using Replica = DynamicShardReplica<Family, Region>;
+  using Replica = typename Base::Replica;
   using Update = typename Replica::Update;
-
-  /// Same shape as Coordinator::Result (not aliased: the static Coordinator
-  /// template requires a point-buildable index surface some dynamizable
-  /// families — RR-KW builds from rectangles — do not expose).
-  struct Result {
-    std::vector<std::vector<ObjectId>> rows;
-    QueryStats stats;
-    uint64_t budget_exhaustions = 0;
-    MergeByteCounters bytes;
-    double wall_micros = 0.0;
-    std::vector<double> shard_wall_micros;
-    double merge_micros = 0.0;
-  };
 
   DynamicCoordinator(uint32_t num_shards, const FrameworkOptions& index_options,
                      const ServeOptions& options, size_t buffer_capacity = 64,
                      ThreadPool* merge_pool = nullptr,
                      obs::MetricsRegistry* registry = nullptr)
-      : options_(options), registry_(registry) {
-    KWSC_CHECK(num_shards >= 1);
-    replicas_.reserve(num_shards);
-    for (uint32_t s = 0; s < num_shards; ++s) {
-      replicas_.push_back(std::make_unique<Replica>(
-          index_options, buffer_capacity, options.per_shard_query_ops,
-          merge_pool));
-    }
-    if (options_.parallel_fanout && replicas_.size() > 1) {
-      pool_ = std::make_unique<ThreadPool>(
-          static_cast<int>(replicas_.size()) - 1);
-    }
-    if (registry_ != nullptr) {
-      registry_->SetGauge("serve.num_shards",
-                          static_cast<double>(replicas_.size()));
-    }
-  }
-
-  size_t num_shards() const { return replicas_.size(); }
-  const Replica& replica(size_t s) const { return *replicas_[s]; }
+      : Base(MakeReplicas(num_shards, index_options, options, buffer_capacity,
+                          merge_pool),
+             options, registry) {}
 
   uint32_t ShardOf(ObjectId global_id) const {
-    return static_cast<uint32_t>(global_id % replicas_.size());
+    return static_cast<uint32_t>(global_id % this->num_shards());
   }
 
   /// Inserts one object; returns its global id.
@@ -251,136 +204,78 @@ class DynamicCoordinator {
     u.kind = Update::Kind::kInsert;
     u.geom = geom;
     u.doc = std::move(doc);
-    {
-      MutexLock lock(&mu_);
-      u.global_id = next_global_id_++;
-    }
-    replicas_[ShardOf(u.global_id)]->ApplyUpdates({&u, 1});
-    if (registry_ != nullptr) registry_->AddCounter("serve.updates", 1);
-    return u.global_id;
+    return ApplyUpdates({&u, 1});
   }
 
   /// Tombstones one object on its owning shard.
   void Delete(ObjectId global_id) KWSC_EXCLUDES(mu_) {
-    {
-      MutexLock lock(&mu_);
-      KWSC_CHECK(global_id < next_global_id_);
-    }
     Update u;
     u.kind = Update::Kind::kDelete;
     u.global_id = global_id;
-    replicas_[ShardOf(global_id)]->ApplyUpdates({&u, 1});
-    if (registry_ != nullptr) registry_->AddCounter("serve.updates", 1);
+    ApplyUpdates({&u, 1});
   }
 
   /// Applies a mixed update stream: assigns ids to inserts in arrival
-  /// order, routes every update to its owning shard, and applies each
-  /// shard's sub-stream in arrival order (cross-shard order is immaterial —
-  /// shards are disjoint). Returns the global id of the first insert, or
-  /// the next id when the stream held none.
+  /// order, checks every delete names an id already assigned, routes every
+  /// update to its owning shard, and applies each shard's sub-stream in
+  /// arrival order (cross-shard order is immaterial — shards are
+  /// disjoint). Returns the global id of the first insert, or the next id
+  /// when the stream held none.
   ObjectId ApplyUpdates(std::span<Update> updates) KWSC_EXCLUDES(mu_) {
     ObjectId first = 0;
     {
       MutexLock lock(&mu_);
       first = next_global_id_;
       for (Update& u : updates) {
-        if (u.kind == Update::Kind::kInsert) u.global_id = next_global_id_++;
+        if (u.kind == Update::Kind::kInsert) {
+          u.global_id = next_global_id_++;
+        } else {
+          KWSC_CHECK_MSG(u.global_id < next_global_id_,
+                         "delete of global id %u, which was never assigned",
+                         static_cast<unsigned>(u.global_id));
+        }
       }
     }
-    std::vector<std::vector<Update>> routed(replicas_.size());
+    std::vector<std::vector<Update>> routed(this->num_shards());
     for (Update& u : updates) {
       routed[ShardOf(u.global_id)].push_back(std::move(u));
     }
-    for (size_t s = 0; s < replicas_.size(); ++s) {
-      if (!routed[s].empty()) replicas_[s]->ApplyUpdates(routed[s]);
+    for (size_t s = 0; s < routed.size(); ++s) {
+      if (!routed[s].empty()) this->mutable_replica(s).ApplyUpdates(routed[s]);
     }
-    if (registry_ != nullptr) {
-      registry_->AddCounter("serve.updates", updates.size());
-    }
+    this->CountUpdates(updates.size());
     return first;
   }
 
   /// Blocks until every shard's carries have drained.
   void WaitQuiescent() {
-    for (auto& r : replicas_) r->WaitQuiescent();
+    for (size_t s = 0; s < this->num_shards(); ++s) {
+      this->mutable_replica(s).WaitQuiescent();
+    }
   }
 
   size_t live_objects() const {
     size_t total = 0;
-    for (const auto& r : replicas_) total += r->live_objects();
+    for (size_t s = 0; s < this->num_shards(); ++s) {
+      total += this->replica(s).live_objects();
+    }
     return total;
   }
 
-  /// Scatter-gather over all shards — structurally the static
-  /// Coordinator::Run with dynamic replicas: every shard runs the whole
-  /// batch against its current snapshot, answers land in disjoint slots,
-  /// and the gather folds them in shard order with the same merge
-  /// protocols and wire-cost model.
-  Result Run(std::span<const BatchQuery<Region>> batch) {
-    Result out;
-    out.rows.resize(batch.size());
-    WallTimer timer;
-    const size_t num_shards = replicas_.size();
-    std::vector<typename Replica::BatchAnswer> answers(num_shards);
-    if (pool_ != nullptr) {
-      TaskGroup group(pool_.get());
-      for (size_t s = 1; s < num_shards; ++s) {
-        group.Run([this, batch, &answers, s] {
-          answers[s] = replicas_[s]->RunBatch(batch);
-        });
-      }
-      answers[0] = replicas_[0]->RunBatch(batch);
-    } else {
-      for (size_t s = 0; s < num_shards; ++s) {
-        answers[s] = replicas_[s]->RunBatch(batch);
-      }
+ private:
+  static std::vector<std::unique_ptr<Replica>> MakeReplicas(
+      uint32_t num_shards, const FrameworkOptions& index_options,
+      const ServeOptions& options, size_t buffer_capacity,
+      ThreadPool* merge_pool) {
+    std::vector<std::unique_ptr<Replica>> replicas;
+    for (uint32_t s = 0; s < num_shards; ++s) {
+      replicas.push_back(std::make_unique<Replica>(
+          index_options, buffer_capacity, options.per_shard_query_ops,
+          merge_pool));
     }
-    const double scatter_end_us = timer.ElapsedMicros();
-    for (size_t s = 0; s < num_shards; ++s) {
-      MergeQueryStats(answers[s].stats, &out.stats);
-      out.budget_exhaustions += answers[s].budget_exhaustions;
-      out.shard_wall_micros.push_back(answers[s].wall_micros);
-    }
-    std::vector<const std::vector<ObjectId>*> shard_rows(num_shards);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      for (size_t s = 0; s < num_shards; ++s) {
-        shard_rows[s] = &answers[s].rows[i];
-      }
-      if (options_.top_t == 0) {
-        const uint64_t naive = NaiveShipBytes(shard_rows);
-        out.bytes.naive += naive;
-        out.bytes.selection += naive;
-        out.rows[i] = MergeAllRows(shard_rows);
-      } else if (options_.selection_merge) {
-        out.rows[i] = SelectTopT(shard_rows, options_.top_t, &out.bytes);
-      } else {
-        const uint64_t naive = NaiveShipBytes(shard_rows);
-        out.bytes.naive += naive;
-        out.bytes.selection += naive;
-        std::vector<ObjectId> merged = MergeAllRows(shard_rows);
-        if (merged.size() > options_.top_t) merged.resize(options_.top_t);
-        out.rows[i] = std::move(merged);
-      }
-    }
-    out.merge_micros = timer.ElapsedMicros() - scatter_end_us;
-    out.wall_micros = timer.ElapsedMicros();
-    if (registry_ != nullptr) {
-      registry_->AddCounter("serve.batches", 1);
-      registry_->AddCounter("serve.queries", batch.size());
-      registry_->AddCounter("serve.shard_fanout", batch.size() * num_shards);
-      registry_->AddCounter("serve.bytes_shipped", out.bytes.selection);
-      registry_->AddCounter("serve.bytes_naive", out.bytes.naive);
-      registry_->AddCounter("serve.merge_rounds", out.bytes.selection_rounds);
-      registry_->AddCounter("serve.budget_exhausted", out.budget_exhaustions);
-    }
-    return out;
+    return replicas;
   }
 
- private:
-  ServeOptions options_;
-  obs::MetricsRegistry* registry_;
-  std::vector<std::unique_ptr<Replica>> replicas_;
-  std::unique_ptr<ThreadPool> pool_;
   Mutex mu_;
   ObjectId next_global_id_ KWSC_GUARDED_BY(mu_) = 0;
 };

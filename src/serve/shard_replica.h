@@ -1,6 +1,7 @@
 // Copyright 2026 The kwsc Authors. Licensed under the Apache License 2.0.
 //
-// One shared-nothing shard replica (DESIGN.md §6b).
+// One shared-nothing shard replica (DESIGN.md §6b), plus the two pieces
+// every replica shares: the ShardAnswer wire shape and per-query budgets.
 //
 // A replica is the process-simulated unit of the serving architecture: it
 // owns a private copy of its slice of the dataset (points + Corpus), a
@@ -12,7 +13,9 @@
 // Local ids are dense 0..n_s-1 in ascending global-id order (the plan's
 // member lists are ascending), so translating a sorted local result to
 // global ids keeps it sorted — the property the merge protocols in
-// serve/merge.h rely on.
+// serve/merge.h rely on. ShardAnswer::SortToGlobal is that step, for the
+// static replicas here and the dynamic ones in serve/dynamic_shard_replica.h
+// alike.
 //
 // Per-shard ops budgets: the coordinator caps each query's work on each
 // shard with a fresh OpsBudget (the paper's footnote-4 budgeted-termination
@@ -42,20 +45,40 @@
 
 namespace kwsc {
 
+/// What a replica sends back for one batch: one sorted global-id row per
+/// query plus the shard's aggregate stats. wall_micros is the shard-local
+/// execution wall — on a real deployment, the time this shard's process
+/// was busy.
+struct ShardAnswer {
+  std::vector<std::vector<ObjectId>> rows;
+  QueryStats stats;
+  uint64_t budget_exhaustions = 0;
+  double wall_micros = 0.0;
+
+  /// Puts local rows into wire form. Local emission order is
+  /// index-specific, so each row is canonicalized (sorted ascending) at the
+  /// shard, then rewritten through the ascending local -> global map, which
+  /// keeps it sorted — the canonical order DESIGN.md §6d's determinism
+  /// contract is stated in.
+  void SortToGlobal(std::span<const ObjectId> to_global) {
+    for (std::vector<ObjectId>& row : rows) {
+      std::sort(row.begin(), row.end());
+      for (ObjectId& id : row) id = to_global[id];
+    }
+  }
+};
+
 /// Adapts Index::Query(region, keywords, stats, budget) to the 3-argument
 /// engine entry point, giving every query a fresh budget of
 /// `per_query_ops` (0 = unlimited, no budget object at all).
-template <typename Index>
+template <typename Index, typename Region>
 class BudgetedIndexView {
  public:
-  using PointType = typename Index::PointType;
-  using BoxType = typename Index::BoxType;
-
   BudgetedIndexView() = default;
   BudgetedIndexView(const Index* index, uint64_t per_query_ops)
       : index_(index), per_query_ops_(per_query_ops) {}
 
-  std::vector<ObjectId> Query(const BoxType& q,
+  std::vector<ObjectId> Query(const Region& q,
                               std::span<const KeywordId> keywords,
                               QueryStats* stats = nullptr) const {
     if (per_query_ops_ == 0) return index_->Query(q, keywords, stats);
@@ -72,18 +95,7 @@ template <typename Index, typename Region = typename Index::BoxType>
 class ShardReplica {
  public:
   using PointType = typename Index::PointType;
-  using Engine = QueryEngine<BudgetedIndexView<Index>, Region>;
-
-  /// What a shard sends back for one batch: one sorted global-id row per
-  /// query plus the shard's aggregate stats. wall_micros is the shard-local
-  /// execution wall — on a real deployment, the time this shard's process
-  /// was busy.
-  struct BatchAnswer {
-    std::vector<std::vector<ObjectId>> rows;
-    QueryStats stats;
-    uint64_t budget_exhaustions = 0;
-    double wall_micros = 0.0;
-  };
+  using Engine = QueryEngine<BudgetedIndexView<Index, Region>, Region>;
 
   /// Copies the member slice of (points, corpus) and builds the private
   /// index. `members` must be ascending global ids; `num_threads` is the
@@ -105,7 +117,7 @@ class ShardReplica {
     corpus_ = Corpus(std::move(docs));
     index_ = std::make_unique<Index>(std::span<const PointType>(points_),
                                      &corpus_, options);
-    view_ = BudgetedIndexView<Index>(index_.get(), per_query_ops);
+    view_ = BudgetedIndexView<Index, Region>(index_.get(), per_query_ops);
     FrameworkOptions engine_options = options;
     engine_options.num_threads = num_threads;
     engine_ = std::make_unique<Engine>(&view_, engine_options, &registry_);
@@ -116,23 +128,13 @@ class ShardReplica {
   const Index& index() const { return *index_; }
   const obs::MetricsRegistry& registry() const { return registry_; }
 
-  /// Runs the batch on the private engine and translates rows to global
-  /// ids. Local emission order is index-specific, so rows are canonicalized
-  /// (sorted ascending) at the shard before they cross the wire — the
-  /// canonical order DESIGN.md §6d's determinism contract is stated in.
-  BatchAnswer RunBatch(std::span<const BatchQuery<Region>> batch) {
-    BatchAnswer answer;
+  /// Runs the batch on the private engine; rows leave in wire form.
+  ShardAnswer RunBatch(std::span<const BatchQuery<Region>> batch) {
     WallTimer timer;
     typename Engine::BatchResult result = engine_->Run(batch);
-    answer.rows.resize(result.rows.size());
-    for (size_t i = 0; i < result.rows.size(); ++i) {
-      std::vector<ObjectId>& row = result.rows[i];
-      std::sort(row.begin(), row.end());
-      for (ObjectId& id : row) id = to_global_[id];
-      answer.rows[i] = std::move(row);
-    }
-    answer.stats = result.stats;
-    answer.budget_exhaustions = result.budget_exhaustions;
+    ShardAnswer answer{std::move(result.rows), result.stats,
+                       result.budget_exhaustions};
+    answer.SortToGlobal(to_global_);
     answer.wall_micros = timer.ElapsedMicros();
     return answer;
   }
@@ -142,7 +144,7 @@ class ShardReplica {
   std::vector<PointType> points_;
   Corpus corpus_;
   std::unique_ptr<Index> index_;
-  BudgetedIndexView<Index> view_;
+  BudgetedIndexView<Index, Region> view_;
   obs::MetricsRegistry registry_;
   std::unique_ptr<Engine> engine_;
 };

@@ -24,7 +24,7 @@
 #include "baseline/structured_only.h"
 #include "core/appendix_g.h"
 #include "core/dim_reduction.h"
-#include "core/dynamic_orp_kw.h"
+#include "core/dynamic_index.h"
 #include "core/lc_kw.h"
 #include "core/nn_l2.h"
 #include "core/nn_l2_approx.h"
@@ -157,13 +157,15 @@ static_assert(DelegatingAuditable<SrpKwIndex<2>>);
 
 // ---------------------------------------------------------------------------
 // Dynamic ORP-KW (logarithmic method): built empty from options, queried
-// without a budget (each level charges its own); memory-accounted.
+// without a budget (a budgeted query shares one OpsBudget across the buffer
+// scan and every level); memory-accounted.
 // ---------------------------------------------------------------------------
 static_assert(
-    std::constructible_from<DynamicOrpKwIndex<2>, FrameworkOptions>);
-static_assert(MemoryAccounted<DynamicOrpKwIndex<2>>);
-static_assert(requires(const DynamicOrpKwIndex<2>& index, const OrpBox<2>& q,
-                       std::span<const KeywordId> kws, QueryStats* stats) {
+    std::constructible_from<DynamicIndex<OrpKwIndex<2>>, FrameworkOptions>);
+static_assert(MemoryAccounted<DynamicIndex<OrpKwIndex<2>>>);
+static_assert(requires(const DynamicIndex<OrpKwIndex<2>>& index,
+                       const OrpBox<2>& q, std::span<const KeywordId> kws,
+                       QueryStats* stats) {
   { index.Query(q, kws, stats) } -> std::same_as<std::vector<ObjectId>>;
 });
 

@@ -20,7 +20,6 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/dynamic_index.h"
-#include "core/dynamic_orp_kw.h"
 #include "core/orp_kw.h"
 #include "core/rr_kw.h"
 #include "core/sp_kw_box.h"
@@ -254,7 +253,7 @@ TYPED_TEST(DynamicIndexTest, CheckpointRoundTripsByteIdentically) {
 TEST(DynamicIndexDeletes, TombstonesFilterImmediately) {
   FrameworkOptions opt;
   opt.k = 2;
-  DynamicOrpKwIndex<2> dynamic(opt, /*buffer_capacity=*/4);
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt, /*buffer_capacity=*/4);
   const ObjectId a = dynamic.Insert({{0.2, 0.2}}, Document{1, 2});
   const ObjectId b = dynamic.Insert({{0.8, 0.8}}, Document{1, 2});
   const std::vector<KeywordId> kws = {1, 2};
@@ -278,7 +277,7 @@ TEST(DynamicIndexDeletes, TombstonesFilterImmediately) {
 TEST(DynamicIndexMemory, RegistryOnceAccountingSurvivesDeleteReinsertCycles) {
   FrameworkOptions opt;
   opt.k = 2;
-  DynamicOrpKwIndex<2> dynamic(opt, /*buffer_capacity=*/8);
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt, /*buffer_capacity=*/8);
   Rng rng(641);
   for (int i = 0; i < 8; ++i) {  // Fill to exactly one carry: empty buffer.
     dynamic.Insert({{rng.NextDouble(), rng.NextDouble()}},
@@ -315,7 +314,7 @@ TEST(DynamicIndexMemory, RegistryOnceAccountingSurvivesDeleteReinsertCycles) {
 TEST(DynamicIndexDeletes, CarryDropsTombstonedMembers) {
   FrameworkOptions opt;
   opt.k = 2;
-  DynamicOrpKwIndex<2> dynamic(opt, /*buffer_capacity=*/4);
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt, /*buffer_capacity=*/4);
   Rng rng(733);
   std::vector<bool> live;
   for (int i = 0; i < 40; ++i) {
@@ -352,7 +351,7 @@ TEST(DynamicIndexConcurrent, BackgroundMergesKeepAnswersExact) {
   ThreadPool pool(3);
   FrameworkOptions opt;
   opt.k = 2;
-  DynamicOrpKwIndex<2> dynamic(opt, /*buffer_capacity=*/32, &pool);
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt, /*buffer_capacity=*/32, &pool);
   Rng rng(1313);
   std::vector<Point<2>> points;
   std::vector<Document> docs;

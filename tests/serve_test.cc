@@ -12,12 +12,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "core/dynamic_orp_kw.h"
+#include "core/dynamic_index.h"
 #include "core/orp_kw.h"
 #include "core/query_engine.h"
 #include "obs/metrics.h"
@@ -136,6 +139,32 @@ void CheckPlanIsTotalDisjoint(const ShardPlan& plan, const Dataset& data,
   }
   for (int count : seen) EXPECT_EQ(count, 1);  // Total and disjoint.
   EXPECT_EQ(weight, data.corpus.total_weight());
+}
+
+using DynCoordinator = DynamicCoordinator<OrpKwIndex<2>>;
+using DynUpdate = DynCoordinator::Update;
+
+/// Feeds every dataset object to `coordinator` as one insert stream, so its
+/// global ids equal the dataset's.
+void InsertAll(const Dataset& data, DynCoordinator* coordinator) {
+  std::vector<DynUpdate> stream(data.points.size());
+  for (size_t e = 0; e < stream.size(); ++e) {
+    stream[e].geom = data.points[e];
+    stream[e].doc = data.corpus.doc(static_cast<ObjectId>(e));
+  }
+  coordinator->ApplyUpdates(stream);
+}
+
+/// The serve.* counter and gauge names a registry holds.
+std::set<std::string> ServeMetricNames(const obs::MetricsRegistry& registry) {
+  std::set<std::string> names;
+  for (const auto& [name, value] : registry.counters()) {
+    if (name.starts_with("serve.")) names.insert(name);
+  }
+  for (const auto& [name, value] : registry.gauges()) {
+    if (name.starts_with("serve.")) names.insert(name);
+  }
+  return names;
 }
 
 TEST(ShardRouter, SpacePlanIsTotalDisjointAndBalanced) {
@@ -267,13 +296,25 @@ TEST(Coordinator, ShardBudgetsSurfaceExhaustion) {
   const ShardPlan plan = router.Plan(data.corpus, data.axis_keys);
   ServeOptions serve;
   serve.per_shard_query_ops = 3;  // Far below any real query's work.
-  obs::MetricsRegistry registry;
+  // The same check on both coordinators: static replicas inject the budget
+  // through their engine, dynamic ones per snapshot query.
+  const auto expect_exhaustion = [&](auto* coordinator,
+                                     const obs::MetricsRegistry& registry,
+                                     const char* path) {
+    const auto result = coordinator->Run(batch);
+    EXPECT_GT(result.budget_exhaustions, 0u) << path;
+    EXPECT_TRUE(result.stats.budget_exhausted) << path;
+    EXPECT_GT(registry.CounterValue("serve.budget_exhausted"), 0u) << path;
+  };
+  obs::MetricsRegistry static_registry;
   Coordinator<OrpKwIndex<2>> coordinator(plan, data.points, data.corpus, opt,
-                                         serve, &registry);
-  const auto result = coordinator.Run(batch);
-  EXPECT_GT(result.budget_exhaustions, 0u);
-  EXPECT_TRUE(result.stats.budget_exhausted);
-  EXPECT_GT(registry.CounterValue("serve.budget_exhausted"), 0u);
+                                         serve, &static_registry);
+  expect_exhaustion(&coordinator, static_registry, "static");
+  obs::MetricsRegistry dynamic_registry;
+  DynCoordinator dynamic(4, opt, serve, /*buffer_capacity=*/16,
+                         /*merge_pool=*/nullptr, &dynamic_registry);
+  InsertAll(data, &dynamic);
+  expect_exhaustion(&dynamic, dynamic_registry, "dynamic");
 }
 
 TEST(Coordinator, RegistryCountersAndFanout) {
@@ -363,20 +404,39 @@ TEST(Coordinator, ShardBoundaryEdgeCases) {
 // Dynamic serving path (serve/dynamic_shard_replica.h): the coordinator
 // serves mixed update/query traffic, and its scatter-gather must stay
 // invisible — rows identical to one unsharded DynamicIndex fed the same
-// update stream, for every shard count, with and without background merges.
+// update stream, for every shard count, fan-out mode and merge protocol,
+// with and without background merges.
 // ---------------------------------------------------------------------------
 
-using DynCoordinator = DynamicCoordinator<OrpKwIndex<2>>;
-using DynUpdate = DynCoordinator::Update;
+/// Fan-out {parallel, sequential} x merge {full report, top-t selection,
+/// top-t naive gather}.
+std::vector<ServeOptions> ServeModes(uint64_t top_t) {
+  std::vector<ServeOptions> modes;
+  for (bool parallel : {true, false}) {
+    for (int merge = 0; merge < 3; ++merge) {
+      ServeOptions serve;
+      serve.parallel_fanout = parallel;
+      serve.top_t = merge == 0 ? 0 : top_t;
+      serve.selection_merge = merge == 1;
+      modes.push_back(serve);
+    }
+  }
+  return modes;
+}
 
 TEST(DynamicCoordinator, MixedTrafficMatchesUnshardedDynamicIndex) {
   Rng rng(5501);
   FrameworkOptions opt;
   opt.k = 2;
+  const std::vector<ServeOptions> modes = ServeModes(/*top_t=*/2);
   for (uint32_t shards : {1u, 3u, 4u}) {
-    ServeOptions serve;
-    DynCoordinator coordinator(shards, opt, serve, /*buffer_capacity=*/8);
-    DynamicOrpKwIndex<2> reference(opt, /*buffer_capacity=*/8);
+    // One coordinator per serve mode, all fed the same traffic.
+    std::vector<std::unique_ptr<DynCoordinator>> coordinators;
+    for (const ServeOptions& serve : modes) {
+      coordinators.push_back(std::make_unique<DynCoordinator>(
+          shards, opt, serve, /*buffer_capacity=*/8));
+    }
+    DynamicIndex<OrpKwIndex<2>> reference(opt, /*buffer_capacity=*/8);
     std::vector<ObjectId> live;
     for (int round = 0; round < 12; ++round) {
       // A mixed stream: a burst of inserts with some interleaved deletes.
@@ -406,8 +466,11 @@ TEST(DynamicCoordinator, MixedTrafficMatchesUnshardedDynamicIndex) {
           ASSERT_TRUE(reference.Delete(u.global_id));
         }
       }
-      coordinator.ApplyUpdates(stream);
-      ASSERT_EQ(coordinator.live_objects(), reference.live_objects());
+      for (auto& coordinator : coordinators) {
+        std::vector<DynUpdate> copy = stream;  // ApplyUpdates consumes it.
+        coordinator->ApplyUpdates(copy);
+        ASSERT_EQ(coordinator->live_objects(), reference.live_objects());
+      }
 
       std::vector<BatchQuery<Box<2>>> batch;
       for (int qi = 0; qi < 4; ++qi) {
@@ -422,17 +485,33 @@ TEST(DynamicCoordinator, MixedTrafficMatchesUnshardedDynamicIndex) {
                          {static_cast<KeywordId>(rng.NextBounded(6)),
                           static_cast<KeywordId>(6 + rng.NextBounded(6))}});
       }
-      const auto result = coordinator.Run(batch);
-      ASSERT_EQ(result.rows.size(), batch.size());
-      for (size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_EQ(result.rows[i],
-                  testing::Sorted(
-                      reference.Query(batch[i].region, batch[i].keywords)))
-            << "shards=" << shards << " round=" << round << " query " << i;
+      // A whole-space query whose answer outgrows top_t, so both top-t
+      // merges have rows to cut.
+      Box<2> everywhere;
+      everywhere.lo = {{0.0, 0.0}};
+      everywhere.hi = {{1.0, 1.0}};
+      batch.push_back({everywhere, {0, 6}});
+      for (size_t m = 0; m < modes.size(); ++m) {
+        const auto result = coordinators[m]->Run(batch);
+        ASSERT_EQ(result.rows.size(), batch.size());
+        for (size_t i = 0; i < batch.size(); ++i) {
+          std::vector<ObjectId> expected = testing::Sorted(
+              reference.Query(batch[i].region, batch[i].keywords));
+          if (modes[m].top_t > 0 && expected.size() > modes[m].top_t) {
+            expected.resize(modes[m].top_t);
+          }
+          EXPECT_EQ(result.rows[i], expected)
+              << "shards=" << shards << " parallel="
+              << modes[m].parallel_fanout << " top_t=" << modes[m].top_t
+              << " selection=" << modes[m].selection_merge
+              << " round=" << round << " query " << i;
+        }
       }
     }
-    for (uint32_t s = 0; s < shards; ++s) {
-      testing::ExpectAuditClean(coordinator.replica(s).index());
+    for (const auto& coordinator : coordinators) {
+      for (uint32_t s = 0; s < shards; ++s) {
+        testing::ExpectAuditClean(coordinator->replica(s).index());
+      }
     }
   }
 }
@@ -448,7 +527,7 @@ TEST(DynamicCoordinator, BackgroundMergesAndTopTStayExact) {
   obs::MetricsRegistry registry;
   DynamicCoordinator<OrpKwIndex<2>> coordinator(
       3, opt, serve, /*buffer_capacity=*/16, &merge_pool, &registry);
-  DynamicOrpKwIndex<2> reference(opt, /*buffer_capacity=*/16);
+  DynamicIndex<OrpKwIndex<2>> reference(opt, /*buffer_capacity=*/16);
   for (int step = 0; step < 400; ++step) {
     const Point<2> p{{rng.NextDouble(), rng.NextDouble()}};
     const Document doc{static_cast<KeywordId>(rng.NextBounded(4)),
@@ -481,6 +560,67 @@ TEST(DynamicCoordinator, BackgroundMergesAndTopTStayExact) {
   }
   EXPECT_GT(registry.CounterValue("serve.updates"), 0u);
   EXPECT_GT(registry.CounterValue("serve.queries"), 0u);
+}
+
+TEST(DynamicCoordinator, ExportsTheStaticServeCounters) {
+  // One scatter-gather path: after the same batches over the same objects,
+  // both coordinators export the same serve.* names — the dynamic one adds
+  // only its update counter — and agree on every value the shard layout
+  // does not decide.
+  const Dataset data = MakeDenseDataset(600, 4415);
+  const auto batch = MakeDenseBatch(data, 6, 999);
+  FrameworkOptions opt;
+  opt.k = 2;
+  ServeOptions serve;
+  serve.top_t = 4;
+  ShardRouter router(ShardStrategy::kSpacePartitioned, 3);
+  const ShardPlan plan = router.Plan(data.corpus, data.axis_keys);
+  obs::MetricsRegistry static_registry;
+  Coordinator<OrpKwIndex<2>> coordinator(plan, data.points, data.corpus, opt,
+                                         serve, &static_registry);
+  obs::MetricsRegistry dynamic_registry;
+  DynCoordinator dynamic(3, opt, serve, /*buffer_capacity=*/16,
+                         /*merge_pool=*/nullptr, &dynamic_registry);
+  InsertAll(data, &dynamic);
+  for (int round = 0; round < 2; ++round) {
+    coordinator.Run(batch);
+    dynamic.Run(batch);
+  }
+  std::set<std::string> expected = ServeMetricNames(static_registry);
+  expected.insert("serve.updates");
+  EXPECT_EQ(ServeMetricNames(dynamic_registry), expected);
+  for (const char* name :
+       {"serve.batches", "serve.queries", "serve.shard_fanout",
+        "serve.bytes_naive", "serve.budget_exhausted"}) {
+    EXPECT_EQ(dynamic_registry.CounterValue(name),
+              static_registry.CounterValue(name))
+        << name;
+  }
+  uint64_t static_candidates = 0;
+  uint64_t dynamic_candidates = 0;
+  for (uint32_t s = 0; s < 3; ++s) {
+    const std::string name = "serve.shard" + std::to_string(s) + ".candidates";
+    static_candidates += static_registry.CounterValue(name);
+    dynamic_candidates += dynamic_registry.CounterValue(name);
+  }
+  EXPECT_EQ(dynamic_candidates, static_candidates);
+  EXPECT_EQ(dynamic_registry.GaugeValue("serve.num_shards"),
+            static_registry.GaugeValue("serve.num_shards"));
+}
+
+TEST(DynamicCoordinatorDeath, DeleteOfUnassignedIdAborts) {
+  FrameworkOptions opt;
+  opt.k = 2;
+  ServeOptions serve;
+  serve.parallel_fanout = false;  // No pool threads in the forked child.
+  DynCoordinator coordinator(2, opt, serve);
+  std::vector<DynUpdate> stream(2);
+  stream[0].geom = Point<2>{{0.5, 0.5}};
+  stream[0].doc = Document{0, 6};
+  stream[1].kind = DynUpdate::Kind::kDelete;
+  stream[1].global_id = 7;  // Only id 0 exists, even after the insert.
+  EXPECT_DEATH(coordinator.ApplyUpdates(stream), "never assigned");
+  EXPECT_DEATH(coordinator.Delete(3), "never assigned");
 }
 
 TEST(Merge, SelectTopTIsExactOnHandBuiltRows) {
