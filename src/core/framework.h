@@ -215,6 +215,16 @@ inline void MergeQueryStats(const QueryStats& from, QueryStats* into) {
   into->budget_exhausted |= from.budget_exhausted;
 }
 
+/// One batch entry: a query region (Box for the kd-tree and
+/// dimension-reduction indexes, a data rectangle for RR-KW, ConvexQuery for
+/// the partition substrates) plus its k query keywords. The batch unit of
+/// both QueryEngine (core/query_engine.h) and the serving layer (src/serve/).
+template <typename Region>
+struct BatchQuery {
+  Region region;
+  std::vector<KeywordId> keywords;
+};
+
 /// Validates a query keyword set against the construction-time k: exactly k
 /// keywords, pairwise distinct. Returns them sorted (the canonical order the
 /// tuple registries use).

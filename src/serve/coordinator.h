@@ -52,7 +52,6 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/framework.h"
-#include "core/query_engine.h"
 #include "obs/metrics.h"
 #include "serve/merge.h"
 #include "serve/shard_replica.h"
@@ -64,7 +63,9 @@ namespace kwsc {
 /// Serving-side knobs. Partitioning (strategy, shard count) lives in the
 /// ShardPlan; these control how the coordinator drives the replicas.
 struct ServeOptions {
-  /// Engine threads inside each replica (shards scale out, threads up).
+  /// Ignored by both coordinators: a replica answers its batch with one
+  /// plain loop, and batch parallelism comes from the shard fan-out. Kept
+  /// so callers that still set it compile.
   int threads_per_shard = 1;
   /// Per-query, per-shard ops budget; 0 = unlimited (exact results).
   uint64_t per_shard_query_ops = 0;
@@ -76,11 +77,11 @@ struct ServeOptions {
   bool parallel_fanout = true;
 };
 
-/// What ScatterGather needs of a replica. Checked through a mutable
-/// reference, so a const RunBatch models it as well as a non-const one.
+/// What ScatterGather needs of a replica: a const RunBatch, since answering
+/// a batch changes no replica state.
 template <typename R, typename Region>
 concept ScatterReplica =
-    requires(R& replica, std::span<const BatchQuery<Region>> batch) {
+    requires(const R& replica, std::span<const BatchQuery<Region>> batch) {
       { replica.RunBatch(batch) } -> std::same_as<ShardAnswer>;
     };
 
@@ -248,7 +249,7 @@ class Coordinator : public ScatterGather<ShardReplica<Index, Region>, Region> {
     for (const std::vector<ObjectId>& members : plan.members) {
       replicas.push_back(std::make_unique<Replica>(
           std::span<const ObjectId>(members), points, corpus, index_options,
-          options.threads_per_shard, options.per_shard_query_ops));
+          options.per_shard_query_ops));
     }
     return replicas;
   }

@@ -43,7 +43,6 @@
 #include "common/timer.h"
 #include "core/dynamic_index.h"
 #include "core/framework.h"
-#include "core/query_engine.h"
 #include "obs/metrics.h"
 #include "serve/coordinator.h"
 #include "serve/shard_replica.h"
@@ -130,21 +129,12 @@ class DynamicShardReplica {
   /// Blocks until no carry is in flight on this shard.
   void WaitQuiescent() { index_.WaitQuiescent(); }
 
-  /// Runs the batch against the current epoch snapshot; rows leave in wire
-  /// form. Queries here deliberately bypass QueryEngine: snapshot reads are
-  /// already wait-free, and batch parallelism in the dynamic path comes
-  /// from the shard fan-out, not intra-shard threads.
+  /// Runs the batch against the current epoch snapshot through the shared
+  /// AnswerBatch loop; rows leave in wire form.
   ShardAnswer RunBatch(std::span<const BatchQuery<Region>> batch) const
       KWSC_EXCLUDES(mu_) {
-    ShardAnswer answer;
     WallTimer timer;
-    answer.rows.reserve(batch.size());
-    for (const BatchQuery<Region>& q : batch) {
-      QueryStats stats;
-      answer.rows.push_back(view_.Query(q.region, q.keywords, &stats));
-      if (stats.budget_exhausted) ++answer.budget_exhaustions;
-      MergeQueryStats(stats, &answer.stats);
-    }
+    ShardAnswer answer = AnswerBatch(view_, batch);
     {
       // The map only grows, and every id a snapshot can emit was inserted
       // (and therefore mapped, under this lock) before it published.
@@ -173,8 +163,7 @@ class DynamicShardReplica {
 };
 
 /// ScatterGather over S dynamic replicas, plus the update path. Reuses
-/// ServeOptions; threads_per_shard has no dynamic equivalent and is
-/// ignored — see the routing note in the file comment.
+/// ServeOptions (threads_per_shard is ignored, as by Coordinator).
 template <typename Family,
           typename Region = typename Family::DynamicRegionType>
 class DynamicCoordinator

@@ -1,14 +1,15 @@
 // Copyright 2026 The kwsc Authors. Licensed under the Apache License 2.0.
 //
-// One shared-nothing shard replica (DESIGN.md §6b), plus the two pieces
-// every replica shares: the ShardAnswer wire shape and per-query budgets.
+// One shared-nothing shard replica (DESIGN.md §6b), plus the three pieces
+// every replica shares: the ShardAnswer wire shape, per-query budgets, and
+// the batch loop.
 //
 // A replica is the process-simulated unit of the serving architecture: it
-// owns a private copy of its slice of the dataset (points + Corpus), a
-// private index built over that slice, a private QueryEngine, and a private
-// MetricsRegistry — nothing is shared with the coordinator or with sibling
-// replicas, so a replica could be lifted verbatim into its own process; the
-// only coupling is the message boundary RunBatch models.
+// owns a private copy of its slice of the dataset (points + Corpus) and a
+// private index built over that slice — nothing is shared with the
+// coordinator or with sibling replicas, so a replica could be lifted
+// verbatim into its own process; the only coupling is the message boundary
+// RunBatch models.
 //
 // Local ids are dense 0..n_s-1 in ascending global-id order (the plan's
 // member lists are ascending), so translating a sorted local result to
@@ -22,7 +23,9 @@
 // primitive, here playing the scatter-gather role of a per-shard work cap).
 // BudgetedIndexView adapts any index with the uniform
 // Query(region, keywords, stats, budget) entry point into the 3-argument
-// shape QueryEngine expects, injecting the budget per query.
+// Query(region, keywords, stats) shape, injecting the budget per query.
+// AnswerBatch is the one batch loop both replica kinds run; batch
+// parallelism comes from the shard fan-out, not from threads in a replica.
 
 #ifndef KWSC_SERVE_SHARD_REPLICA_H_
 #define KWSC_SERVE_SHARD_REPLICA_H_
@@ -37,8 +40,6 @@
 #include "common/ops_budget.h"
 #include "common/timer.h"
 #include "core/framework.h"
-#include "core/query_engine.h"
-#include "obs/metrics.h"
 #include "serve/shard_router.h"
 #include "text/corpus.h"
 #include "text/document.h"
@@ -69,7 +70,7 @@ struct ShardAnswer {
 };
 
 /// Adapts Index::Query(region, keywords, stats, budget) to the 3-argument
-/// engine entry point, giving every query a fresh budget of
+/// entry point AnswerBatch calls, giving every query a fresh budget of
 /// `per_query_ops` (0 = unlimited, no budget object at all).
 template <typename Index, typename Region>
 class BudgetedIndexView {
@@ -91,20 +92,33 @@ class BudgetedIndexView {
   uint64_t per_query_ops_ = 0;
 };
 
+/// Answers `batch` through `view`: each query gets a fresh QueryStats, so an
+/// exhausted budget counts once per query, folded in batch order. Rows stay
+/// in local ids; the caller maps them and sets wall_micros.
+template <typename View, typename Region>
+ShardAnswer AnswerBatch(const View& view,
+                        std::span<const BatchQuery<Region>> batch) {
+  ShardAnswer answer;
+  answer.rows.reserve(batch.size());
+  for (const BatchQuery<Region>& q : batch) {
+    QueryStats stats;
+    answer.rows.push_back(view.Query(q.region, q.keywords, &stats));
+    if (stats.budget_exhausted) ++answer.budget_exhaustions;
+    MergeQueryStats(stats, &answer.stats);
+  }
+  return answer;
+}
+
 template <typename Index, typename Region = typename Index::BoxType>
 class ShardReplica {
  public:
   using PointType = typename Index::PointType;
-  using Engine = QueryEngine<BudgetedIndexView<Index, Region>, Region>;
 
   /// Copies the member slice of (points, corpus) and builds the private
-  /// index. `members` must be ascending global ids; `num_threads` is the
-  /// replica's own engine parallelism (normally 1 — shards are the unit of
-  /// scale-out, threads the unit of scale-up).
+  /// index. `members` must be ascending global ids.
   ShardReplica(std::span<const ObjectId> members,
                std::span<const PointType> points, const Corpus& corpus,
-               const FrameworkOptions& options, int num_threads,
-               uint64_t per_query_ops) {
+               const FrameworkOptions& options, uint64_t per_query_ops) {
     to_global_.assign(members.begin(), members.end());
     std::vector<Document> docs;
     docs.reserve(members.size());
@@ -118,22 +132,16 @@ class ShardReplica {
     index_ = std::make_unique<Index>(std::span<const PointType>(points_),
                                      &corpus_, options);
     view_ = BudgetedIndexView<Index, Region>(index_.get(), per_query_ops);
-    FrameworkOptions engine_options = options;
-    engine_options.num_threads = num_threads;
-    engine_ = std::make_unique<Engine>(&view_, engine_options, &registry_);
   }
 
   size_t num_objects() const { return to_global_.size(); }
   uint64_t weight() const { return corpus_.total_weight(); }
   const Index& index() const { return *index_; }
-  const obs::MetricsRegistry& registry() const { return registry_; }
 
-  /// Runs the batch on the private engine; rows leave in wire form.
-  ShardAnswer RunBatch(std::span<const BatchQuery<Region>> batch) {
+  /// Answers the batch over the private index; rows leave in wire form.
+  ShardAnswer RunBatch(std::span<const BatchQuery<Region>> batch) const {
     WallTimer timer;
-    typename Engine::BatchResult result = engine_->Run(batch);
-    ShardAnswer answer{std::move(result.rows), result.stats,
-                       result.budget_exhaustions};
+    ShardAnswer answer = AnswerBatch(view_, batch);
     answer.SortToGlobal(to_global_);
     answer.wall_micros = timer.ElapsedMicros();
     return answer;
@@ -145,8 +153,6 @@ class ShardReplica {
   Corpus corpus_;
   std::unique_ptr<Index> index_;
   BudgetedIndexView<Index, Region> view_;
-  obs::MetricsRegistry registry_;
-  std::unique_ptr<Engine> engine_;
 };
 
 }  // namespace kwsc

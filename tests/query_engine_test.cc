@@ -10,8 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,6 +20,7 @@
 #include "common/random.h"
 #include "core/orp_kw.h"
 #include "core/rr_kw.h"
+#include "serve/shard_replica.h"
 #include "test_util.h"
 #include "text/corpus.h"
 #include "workload/generator.h"
@@ -72,18 +73,6 @@ TEST(QueryEngine, BatchMatchesPerQueryAnswersAndStats) {
   }
 }
 
-std::string StatsKey(const QueryStats& s) {
-  std::ostringstream out;
-  out << s.nodes_visited << "," << s.covered_nodes << "," << s.crossing_nodes
-      << "," << s.pivot_checks << "," << s.list_scanned << "," << s.results
-      << "," << s.tuple_pruned << "," << s.geom_pruned << ","
-      << s.covered_work << "," << s.crossing_work << "," << s.type1_nodes
-      << "," << s.type2_nodes << "," << s.budget_exhausted << ",[";
-  for (uint32_t v : s.type2_per_level) out << v << ";";
-  out << "]";
-  return out.str();
-}
-
 // The determinism contract of the observability layer: on the same batch,
 // the merged work histogram (per-query objects examined) and the merged
 // QueryStats are byte-identical for every thread count, and the latency
@@ -116,7 +105,7 @@ TEST(QueryEngine, MergedHistogramsAndStatsIdenticalAcrossThreadCounts) {
     QueryEngine<OrpKwIndex<2>> engine(&index, threads);
     const auto result = engine.Run(batch);
     const std::string work = result.work.DebugString();
-    const std::string stats = StatsKey(result.stats);
+    const std::string stats = testing::StatsKey(result.stats);
     if (threads == 1) {
       reference_work = work;
       reference_stats = stats;
@@ -177,7 +166,8 @@ TEST(QueryEngine, TracingIsInvisibleToResultsAndStats) {
   for (size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(result.rows[i], expected.rows[i]) << "query " << i;
   }
-  EXPECT_EQ(StatsKey(result.stats), StatsKey(expected.stats));
+  EXPECT_EQ(testing::StatsKey(result.stats),
+            testing::StatsKey(expected.stats));
   EXPECT_EQ(result.work.DebugString(), expected.work.DebugString());
 
   // The trace has one span per query, in batch order (contiguous shards
@@ -191,11 +181,61 @@ TEST(QueryEngine, TracingIsInvisibleToResultsAndStats) {
     EXPECT_GE(span.duration_micros, 0.0);
     MergeQueryStats(span.stats, &summed);
   }
-  EXPECT_EQ(StatsKey(summed), StatsKey(result.stats));
+  EXPECT_EQ(testing::StatsKey(summed), testing::StatsKey(result.stats));
   ASSERT_EQ(result.trace.phases.size(), 3u);
   EXPECT_EQ(result.trace.phases[0].name, "setup");
   EXPECT_EQ(result.trace.phases[1].name, "execute");
   EXPECT_EQ(result.trace.phases[2].name, "merge");
+}
+
+// Every query runs on a fresh budget, so every query that trips it counts —
+// traced or untraced, at every thread count — in BatchResult and in
+// engine.ops_budget_exhausted alike.
+TEST(QueryEngine, BudgetExhaustionsCountEveryQuery) {
+  Rng rng(8214);
+  CorpusSpec spec;
+  spec.num_objects = 800;
+  spec.vocab_size = 60;
+  Corpus corpus = GenerateCorpus(spec, &rng);
+  auto pts = GeneratePoints<2>(800, PointDistribution::kClustered, &rng);
+  FrameworkOptions opt;
+  opt.k = 2;
+  OrpKwIndex<2> index(pts, &corpus, opt);
+  using View = BudgetedIndexView<OrpKwIndex<2>, Box<2>>;
+  const View view(&index, /*per_query_ops=*/3);
+
+  std::vector<BatchQuery<Box<2>>> batch;
+  for (int i = 0; i < 8; ++i) {
+    batch.push_back(
+        {GenerateBoxQuery(std::span<const Point<2>>(pts),
+                          rng.UniformDouble(0.5, 0.9), &rng),
+         PickQueryKeywords(corpus, 2, KeywordPick::kFrequent, &rng)});
+  }
+  uint64_t expected = 0;
+  for (const auto& q : batch) {
+    QueryStats stats;
+    view.Query(q.region, q.keywords, &stats);
+    if (stats.budget_exhausted) ++expected;
+  }
+  // More exhaustions than threads, or one count per shard could pass.
+  ASSERT_GT(expected, 2u);
+
+  for (int threads : {1, 2}) {
+    for (bool traced : {false, true}) {
+      FrameworkOptions engine_opt = opt;
+      engine_opt.num_threads = threads;
+      engine_opt.enable_tracing = traced;
+      obs::MetricsRegistry registry;
+      QueryEngine<View, Box<2>> engine(&view, engine_opt, &registry);
+      const auto result = engine.Run(batch);
+      EXPECT_EQ(result.budget_exhaustions, expected)
+          << "threads=" << threads << " traced=" << traced;
+      EXPECT_EQ(registry.CounterValue("engine.ops_budget_exhausted"),
+                expected)
+          << "threads=" << threads << " traced=" << traced;
+      EXPECT_TRUE(result.stats.budget_exhausted);
+    }
+  }
 }
 
 // The registry accumulates engine.* metrics across batches.

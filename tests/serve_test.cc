@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/ops_budget.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/dynamic_index.h"
@@ -241,6 +242,21 @@ TEST(Coordinator, ByteIdenticalToUnshardedEveryShardCountAndStrategy) {
         }
         EXPECT_FALSE(result.stats.budget_exhausted);
         EXPECT_EQ(result.bytes.selection, result.bytes.naive);
+        // The same queries as single-query batches, the serving
+        // benchmark's shape: the same rows, and stats that sum to the
+        // batch run's.
+        QueryStats summed;
+        for (size_t i = 0; i < batch.size(); ++i) {
+          const auto single = coordinator.Run(
+              std::span<const BatchQuery<Box<2>>>(&batch[i], 1));
+          ASSERT_EQ(single.rows.size(), 1u);
+          ASSERT_EQ(single.rows[0], expected[i])
+              << "single-query batch, shards=" << shards
+              << " parallel=" << parallel << " query " << i;
+          MergeQueryStats(single.stats, &summed);
+        }
+        EXPECT_EQ(testing::StatsKey(summed), testing::StatsKey(result.stats))
+            << "shards=" << shards << " parallel=" << parallel;
       }
     }
   }
@@ -296,15 +312,28 @@ TEST(Coordinator, ShardBudgetsSurfaceExhaustion) {
   const ShardPlan plan = router.Plan(data.corpus, data.axis_keys);
   ServeOptions serve;
   serve.per_shard_query_ops = 3;  // Far below any real query's work.
-  // The same check on both coordinators: static replicas inject the budget
-  // through their engine, dynamic ones per snapshot query.
+  // The same check on both coordinators: every (query, shard) pair runs on
+  // its own budget, so every pair that trips it counts once.
   const auto expect_exhaustion = [&](auto* coordinator,
                                      const obs::MetricsRegistry& registry,
                                      const char* path) {
+    uint64_t expected = 0;
+    for (size_t s = 0; s < coordinator->num_shards(); ++s) {
+      for (const auto& q : batch) {
+        OpsBudget budget(serve.per_shard_query_ops);
+        QueryStats stats;
+        coordinator->replica(s).index().Query(q.region, q.keywords, &stats,
+                                              &budget);
+        if (stats.budget_exhausted) ++expected;
+      }
+    }
+    // More than one per shard, or a per-shard sticky flag could pass.
+    ASSERT_GT(expected, coordinator->num_shards()) << path;
     const auto result = coordinator->Run(batch);
-    EXPECT_GT(result.budget_exhaustions, 0u) << path;
+    EXPECT_EQ(result.budget_exhaustions, expected) << path;
     EXPECT_TRUE(result.stats.budget_exhausted) << path;
-    EXPECT_GT(registry.CounterValue("serve.budget_exhausted"), 0u) << path;
+    EXPECT_EQ(registry.CounterValue("serve.budget_exhausted"), expected)
+        << path;
   };
   obs::MetricsRegistry static_registry;
   Coordinator<OrpKwIndex<2>> coordinator(plan, data.points, data.corpus, opt,
@@ -494,18 +523,28 @@ TEST(DynamicCoordinator, MixedTrafficMatchesUnshardedDynamicIndex) {
       for (size_t m = 0; m < modes.size(); ++m) {
         const auto result = coordinators[m]->Run(batch);
         ASSERT_EQ(result.rows.size(), batch.size());
+        QueryStats summed;  // Over the same queries as single-query batches.
         for (size_t i = 0; i < batch.size(); ++i) {
           std::vector<ObjectId> expected = testing::Sorted(
               reference.Query(batch[i].region, batch[i].keywords));
           if (modes[m].top_t > 0 && expected.size() > modes[m].top_t) {
             expected.resize(modes[m].top_t);
           }
+          const auto single = coordinators[m]->Run(
+              std::span<const BatchQuery<Box<2>>>(&batch[i], 1));
+          ASSERT_EQ(single.rows.size(), 1u);
+          MergeQueryStats(single.stats, &summed);
           EXPECT_EQ(result.rows[i], expected)
               << "shards=" << shards << " parallel="
               << modes[m].parallel_fanout << " top_t=" << modes[m].top_t
               << " selection=" << modes[m].selection_merge
               << " round=" << round << " query " << i;
+          EXPECT_EQ(single.rows[0], expected)
+              << "single-query batch, shards=" << shards << " mode " << m
+              << " round=" << round << " query " << i;
         }
+        EXPECT_EQ(testing::StatsKey(summed), testing::StatsKey(result.stats))
+            << "shards=" << shards << " mode " << m << " round=" << round;
       }
     }
     for (const auto& coordinator : coordinators) {

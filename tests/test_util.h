@@ -9,10 +9,13 @@
 
 #include <algorithm>
 #include <span>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "audit/audit.h"
 #include "audit/index_auditor.h"
+#include "core/framework.h"
 #include "geom/box.h"
 #include "geom/halfspace.h"
 #include "geom/point.h"
@@ -134,6 +137,20 @@ std::vector<ObjectId> BruteNearest(std::span<const Point<D, Scalar>> points,
 inline std::vector<ObjectId> Sorted(std::vector<ObjectId> v) {
   std::sort(v.begin(), v.end());
   return v;
+}
+
+/// Every QueryStats field in one comparable string, so two aggregates
+/// compare field for field in one EXPECT_EQ.
+inline std::string StatsKey(const QueryStats& s) {
+  std::ostringstream out;
+  out << s.nodes_visited << "," << s.covered_nodes << "," << s.crossing_nodes
+      << "," << s.pivot_checks << "," << s.list_scanned << "," << s.results
+      << "," << s.tuple_pruned << "," << s.geom_pruned << ","
+      << s.covered_work << "," << s.crossing_work << "," << s.type1_nodes
+      << "," << s.type2_nodes << "," << s.budget_exhausted << ",[";
+  for (uint32_t v : s.type2_per_level) out << v << ";";
+  out << "]";
+  return out.str();
 }
 
 /// Distance multisets are compared instead of ids when ties at the t-th
