@@ -1,8 +1,9 @@
 // Copyright 2026 The kwsc Authors. Licensed under the Apache License 2.0.
 //
-// Persistence: build an ORP-KW index once, save it with the corpus to disk,
-// and reload both in a fraction of the build time — the workflow a serving
-// system uses (build offline, load on start-up).
+// Persistence: build an ORP-KW index once, save it with the corpus to disk
+// (the index as a v2 flat container), and reload both in a fraction of the
+// build time — the workflow a serving system uses (build offline, map on
+// start-up).
 //
 //   $ ./build/examples/persist_reload
 
@@ -10,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/flat_arena.h"
 #include "common/random.h"
 #include "common/timer.h"
 #include "core/orp_kw.h"
@@ -39,14 +41,14 @@ int main() {
     std::ofstream corpus_out(corpus_path, std::ios::binary);
     corpus.Save(&corpus_out);
     std::ofstream index_out(index_path, std::ios::binary);
-    index.Save(&index_out);
+    index.SaveFlat(&index_out);
   }
 
   WallTimer load_timer;
   std::ifstream corpus_in(corpus_path, std::ios::binary);
   Corpus loaded_corpus = Corpus::Load(&corpus_in);
-  std::ifstream index_in(index_path, std::ios::binary);
-  OrpKwIndex<2> loaded = OrpKwIndex<2>::Load(&index_in, &loaded_corpus);
+  OrpKwIndex<2> loaded =
+      OrpKwIndex<2>::LoadFlat(MmapFile::Open(index_path), &loaded_corpus);
   const double load_ms = load_timer.ElapsedMillis();
 
   // Same answers from the reloaded index.

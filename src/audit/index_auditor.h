@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -275,21 +276,33 @@ inline std::vector<KeywordId> CheckNodeDirectory(
   return larges;
 }
 
-/// Save -> Load -> Save must reproduce the first byte stream exactly (the
-/// determinism contract parallel builds and fingerprints rely on).
+/// SaveFlat -> LoadFlat -> SaveFlat must reproduce the first container
+/// exactly (the determinism contract parallel builds and fingerprints rely
+/// on). The container is validated before it is loaded, so a writer that
+/// emits an invalid one is reported here instead of aborting in LoadFlat.
 template <typename Index>
 void CheckSerializationRoundTrip(const Index& index, const Corpus& corpus,
                                  AuditReport* report) {
   std::ostringstream first_stream;
-  index.Save(&first_stream);
+  index.SaveFlat(&first_stream);
   const std::string first = first_stream.str();
-  std::istringstream in(first);
-  const Index loaded = Index::Load(&in, &corpus);
+  const std::shared_ptr<const MmapFile> file = MmapFile::FromBytes(first);
+  std::string invalid;
+  const FlatErrorSink sink = [&invalid](const std::string& message) {
+    if (invalid.empty()) invalid = message;
+  };
+  if (!Index::ValidateFlat(*file, /*offset=*/0, Index::kFlatFamilyTag,
+                           sink)) {
+    report->Add(AuditCheck::kSerialization, -1,
+                "SaveFlat wrote an invalid container: %s", invalid.c_str());
+    return;
+  }
+  const Index loaded = Index::LoadFlat(file, &corpus);
   std::ostringstream second_stream;
-  loaded.Save(&second_stream);
+  loaded.SaveFlat(&second_stream);
   if (second_stream.str() != first) {
     report->Add(AuditCheck::kSerialization, -1,
-                "save/load/save round trip is not byte-identical "
+                "flat save/load/save round trip is not byte-identical "
                 "(%zu vs %zu bytes)",
                 first.size(), second_stream.str().size());
   }

@@ -56,7 +56,7 @@
 
 namespace kwsc {
 
-/// Both the v1 stream archives and the v2 flat containers write host-endian
+/// Both the stream archives and the v2 flat containers write host-endian
 /// bytes; the formats are defined as little-endian on disk. Refuse to build
 /// on exotic hosts instead of silently writing byte-swapped archives.
 static_assert(std::endian::native == std::endian::little,

@@ -3,11 +3,11 @@
 // Flat (v2) on-disk layout primitives: a 64-byte header, 64-byte-aligned
 // typed slabs addressed by byte offsets, and an mmap-backed read path.
 //
-// The v1 stream format (common/serialize.h) deserializes every field through
-// InputArchive and pointer-rebuilds the index, so cold-start costs a full
-// O(index) pass plus an RSS copy. The v2 "flat" format instead lays the bulk
-// payload — posting lists, pivot pools, tuple registries, rank tables — out
-// as contiguous trivially-copyable slabs; loading is an mmap plus header
+// A stream format that deserializes every field and pointer-rebuilds the
+// index pays a full O(index) pass plus an RSS copy at cold start. The v2
+// "flat" format — the only index format — instead lays the bulk payload
+// (posting lists, pivot pools, tuple registries, rank tables) out as
+// contiguous trivially-copyable slabs; loading is an mmap plus header
 // validation, and queries run directly over the mapped bytes through span
 // views. Offsets are relative to the container start, so containers
 // concatenate: a wrapper family appends its engine's container right after
@@ -131,8 +131,8 @@ class MmapFile {
 
 /// Serializes one flat container: append slabs, set the root, stream out.
 /// Deterministic: byte content depends only on the call sequence (padding is
-/// zeroed), so flat containers obey the same byte-identity discipline the
-/// auditor enforces for v1 archives.
+/// zeroed), which is the byte-identity the auditor's SaveFlat -> LoadFlat ->
+/// SaveFlat round trip enforces.
 class FlatArenaWriter {
  public:
   explicit FlatArenaWriter(uint32_t family_tag) : family_tag_(family_tag) {

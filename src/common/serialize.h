@@ -1,10 +1,8 @@
 // Copyright 2026 The kwsc Authors. Licensed under the Apache License 2.0.
 //
-// Minimal binary archives for persisting indexes.
-//
-// Indexes in this library are static: build once, query forever. Building,
-// however, is O(N polylog N) with real constants (keyword counting at every
-// node), so a downstream user wants to build once and reload from disk.
+// Minimal binary stream archives: the corpus ("KWCP", text/corpus.h) and
+// the batch-dynamic checkpoint ("KWDY", core/dynamic_index.h). Indexes
+// persist through the v2 flat container instead (common/flat_arena.h).
 // The format is little-endian PODs with explicit sizes, a magic tag and a
 // version per top-level object; readers abort on malformed input via
 // KWSC_CHECK (the archives are trusted local files, not a network surface).
@@ -41,9 +39,9 @@ static_assert(std::endian::native == std::endian::little,
 /// identical to the unbuffered writer's (serialize_test asserts this).
 ///
 /// Interleaving hazard: anything that writes to the same raw stream while an
-/// OutputArchive is live (e.g. a nested `engine_->Save(out)` that builds its
-/// own archive) must be preceded by Flush(), or the buffered bytes land
-/// after the nested ones.
+/// OutputArchive is live (e.g. a nested writer that builds its own archive)
+/// must be preceded by Flush(), or the buffered bytes land after the nested
+/// ones.
 class OutputArchive {
  public:
   explicit OutputArchive(std::ostream* out) : out_(out) {

@@ -69,9 +69,9 @@ struct FrameworkOptions {
   /// Threads used to build the index (and, via core/query_engine.h, to shard
   /// query batches): 0 = one per hardware thread, 1 = fully sequential.
   /// Every setting produces the same index — parallel builds are
-  /// byte-identical under Save — so this is purely a wall-clock knob. It is
-  /// an execution property, not an index property, and is therefore excluded
-  /// from serialization (see PersistedFrameworkOptions).
+  /// byte-identical under SaveFlat — so this is purely a wall-clock knob.
+  /// It is an execution property, not an index property, and is therefore
+  /// excluded from serialization (see PersistedFrameworkOptions).
   int num_threads = 1;
 
   /// Records a per-query trace (phase spans + a QueryStats snapshot per
@@ -90,7 +90,9 @@ struct FrameworkOptions {
 /// The on-disk image of FrameworkOptions: exactly the fields that determine
 /// index structure, in the seed archive layout. Keeping this mirror (instead
 /// of dumping FrameworkOptions raw) pins the serialization format while
-/// FrameworkOptions grows execution-only knobs like num_threads.
+/// FrameworkOptions grows execution-only knobs like num_threads. From/ToOptions
+/// is the one mapping between the two; the flat roots and the KWDY
+/// checkpoint all persist through it.
 struct PersistedFrameworkOptions {
   int32_t k;
   double alpha;
@@ -98,39 +100,47 @@ struct PersistedFrameworkOptions {
   bool enable_tuple_pruning;
   bool enable_materialized_lists;
   bool exact_cell_tests;
+
+  /// Zero-padded image: padding bytes are part of the persisted bytes, which
+  /// the determinism tests and goldens compare byte for byte.
+  static PersistedFrameworkOptions From(const FrameworkOptions& options) {
+    PersistedFrameworkOptions persisted;
+    std::memset(static_cast<void*>(&persisted), 0, sizeof(persisted));
+    persisted.k = options.k;
+    persisted.alpha = options.alpha;
+    persisted.leaf_objects = options.leaf_objects;
+    persisted.enable_tuple_pruning = options.enable_tuple_pruning;
+    persisted.enable_materialized_lists = options.enable_materialized_lists;
+    persisted.exact_cell_tests = options.exact_cell_tests;
+    return persisted;
+  }
+
+  /// Execution-only fields keep their defaults; loading is sequential.
+  FrameworkOptions ToOptions() const {
+    FrameworkOptions options;
+    options.k = k;
+    options.alpha = alpha;
+    options.leaf_objects = leaf_objects;
+    options.enable_tuple_pruning = enable_tuple_pruning;
+    options.enable_materialized_lists = enable_materialized_lists;
+    options.exact_cell_tests = exact_cell_tests;
+    return options;
+  }
 };
 static_assert(sizeof(PersistedFrameworkOptions) == 24,
               "archive layout of FrameworkOptions must not change");
-// PADDED: 4 bytes of alignment gap after `k` and 1 tail byte, zeroed by the
-// memset in SaveFrameworkOptions so archived images stay byte-deterministic.
+// PADDED: 4 bytes of alignment gap after `k` and 1 tail byte, zeroed by
+// From() so persisted images stay byte-deterministic.
 KWSC_ABI_STRUCT_PADDED_AS(PersistedFrameworkOptions,
                           PersistedFrameworkOptions);
 
 inline void SaveFrameworkOptions(OutputArchive* ar,
                                  const FrameworkOptions& options) {
-  PersistedFrameworkOptions persisted;
-  // Zero first so padding bytes are deterministic — Save streams are
-  // compared byte-for-byte by the determinism tests and fingerprints.
-  std::memset(static_cast<void*>(&persisted), 0, sizeof(persisted));
-  persisted.k = options.k;
-  persisted.alpha = options.alpha;
-  persisted.leaf_objects = options.leaf_objects;
-  persisted.enable_tuple_pruning = options.enable_tuple_pruning;
-  persisted.enable_materialized_lists = options.enable_materialized_lists;
-  persisted.exact_cell_tests = options.exact_cell_tests;
-  ar->Pod(persisted);
+  ar->Pod(PersistedFrameworkOptions::From(options));
 }
 
 inline FrameworkOptions LoadFrameworkOptions(InputArchive* ar) {
-  const auto persisted = ar->Pod<PersistedFrameworkOptions>();
-  FrameworkOptions options;
-  options.k = persisted.k;
-  options.alpha = persisted.alpha;
-  options.leaf_objects = persisted.leaf_objects;
-  options.enable_tuple_pruning = persisted.enable_tuple_pruning;
-  options.enable_materialized_lists = persisted.enable_materialized_lists;
-  options.exact_cell_tests = persisted.exact_cell_tests;
-  return options;  // num_threads keeps its default; loading is sequential.
+  return ar->Pod<PersistedFrameworkOptions>().ToOptions();
 }
 
 /// Index of the weighted median of `n` elements under the prefix rule shared

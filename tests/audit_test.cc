@@ -42,8 +42,8 @@ using audit::AuditIndex;
 using audit::AuditOptions;
 using audit::AuditReport;
 
-// Corrupted indexes cannot go through Save/Load (the archive layer has its
-// own KWSC_CHECK aborts); the structural walk is what is under test.
+// The structural walk is what the corruption tests check; the flat round
+// trip of a corrupted index is checked once, in WrongLevelIsCaught.
 AuditOptions NoSerialization() {
   AuditOptions options;
   options.check_serialization = false;
@@ -289,6 +289,13 @@ TEST(AuditCorruption, WrongLevelIsCaught) {
 
   const AuditReport report = AuditIndex(index, NoSerialization());
   EXPECT_TRUE(report.Has(AuditCheck::kTreeStructure)) << report.ToString();
+
+  // With the round trip on, the container SaveFlat writes for the corrupted
+  // arena fails flat validation: reported as a serialization violation, not
+  // an abort inside LoadFlat.
+  const AuditReport full = AuditIndex(index);
+  EXPECT_TRUE(full.Has(AuditCheck::kTreeStructure)) << full.ToString();
+  EXPECT_TRUE(full.Has(AuditCheck::kSerialization)) << full.ToString();
 }
 
 TEST(AuditCorruption, DimRedFanoutDriftIsCaught) {

@@ -58,21 +58,21 @@ static_assert(KwIndexFamily<OrpKwIndex<1>, OrpBox<1>>);
 static_assert(KwIndexFamily<OrpKwIndex<2>, OrpBox<2>>);
 static_assert(KwIndexFamily<OrpKwIndex<3>, OrpBox<3>>);
 static_assert(ThresholdDetecting<OrpKwIndex<2>, OrpBox<2>>);
-static_assert(StreamPersistable<OrpKwIndex<1>>);
-static_assert(StreamPersistable<OrpKwIndex<2>>);
-static_assert(StreamPersistable<OrpKwIndex<3>>);
+static_assert(FlatPersistable<OrpKwIndex<1>>);
+static_assert(FlatPersistable<OrpKwIndex<2>>);
+static_assert(FlatPersistable<OrpKwIndex<3>>);
 static_assert(DirectlyAuditable<OrpKwIndex<2>>);
 static_assert(AuditableFamily<OrpKwIndex<2>>);
 
 // ---------------------------------------------------------------------------
 // Dimension reduction (Theorem 2): same query surface in d >= 3; the
-// doubly-exponential tree holds per-node sub-corpora, so it is deliberately
-// not stream-persistable (rebuilds are cheap relative to its disk image).
+// doubly-exponential tree holds per-node sub-corpora, so it has no flat
+// writer yet (rebuilds are cheap relative to its disk image).
 // ---------------------------------------------------------------------------
 static_assert(KwIndexFamily<DimRedOrpKwIndex<3>, OrpBox<3>>);
 static_assert(KwIndexFamily<DimRedOrpKwIndex<4>, OrpBox<4>>);
 static_assert(ThresholdDetecting<DimRedOrpKwIndex<3>, OrpBox<3>>);
-static_assert(!StreamPersistable<DimRedOrpKwIndex<3>>);
+static_assert(!FlatPersistable<DimRedOrpKwIndex<3>>);
 static_assert(DirectlyAuditable<DimRedOrpKwIndex<3>>);
 
 // ---------------------------------------------------------------------------
@@ -86,6 +86,9 @@ static_assert(BudgetedKwQueryable<RrKwIndex<2>, OrpBox<2>>);
 static_assert(ExposesArity<RrKwIndex<2>> && MemoryAccounted<RrKwIndex<2>>);
 static_assert(DelegatingAuditable<RrKwIndex<2>>);
 static_assert(AuditableFamily<RrKwIndex<2>>);
+// Persistence exists where the lifted engine is the kd-path (d = 1).
+static_assert(FlatPersistable<RrKwIndex<1>>);
+static_assert(!FlatPersistable<RrKwIndex<2>>);
 // Rectangles are not points: the point-build contract must not claim RR-KW.
 static_assert(!PointBuildable<RrKwIndex<2>> ||
                   std::same_as<RrKwIndex<2>::RectType,
@@ -116,14 +119,15 @@ static_assert(!DynamizableFamily<DimRedOrpKwIndex<3>>);
 static_assert(PointBuildable<LinfNnIndex<2>>);
 static_assert(NearestKwQueryable<LinfNnIndex<2>>);
 static_assert(MemoryAccounted<LinfNnIndex<2>> && ExposesArity<LinfNnIndex<2>>);
-static_assert(StreamPersistable<LinfNnIndex<2>>);
+static_assert(FlatPersistable<LinfNnIndex<2>>);
 static_assert(NearestKwQueryable<LinfNnIndex<3>>);
-static_assert(!StreamPersistable<LinfNnIndex<3>>);
+static_assert(!FlatPersistable<LinfNnIndex<3>>);
 static_assert(DelegatingAuditable<LinfNnIndex<2>>);
 
 static_assert(PointBuildable<L2NnIndex<2>>);
 static_assert(NearestKwQueryable<L2NnIndex<2>>);
 static_assert(MemoryAccounted<L2NnIndex<2>> && ExposesArity<L2NnIndex<2>>);
+static_assert(FlatPersistable<L2NnIndex<2>>);
 
 static_assert(PointBuildable<ApproxL2NnIndex<2>>);
 static_assert(NearestKwQueryable<ApproxL2NnIndex<2>>);
@@ -137,7 +141,7 @@ static_assert(MemoryAccounted<ApproxL2NnIndex<2>>);
 static_assert(KwIndexFamily<SpKwBoxIndex<2>, ConvexQuery<2>>);
 static_assert(KwIndexFamily<SpKwBoxIndex<3>, ConvexQuery<3>>);
 static_assert(ThresholdDetecting<SpKwBoxIndex<2>, ConvexQuery<2>>);
-static_assert(StreamPersistable<SpKwBoxIndex<2>>);
+static_assert(FlatPersistable<SpKwBoxIndex<2>>);
 static_assert(DirectlyAuditable<SpKwBoxIndex<2>>);
 
 static_assert(KwIndexFamily<SpKwHsIndex, ConvexQuery<2>>);
@@ -154,6 +158,7 @@ static_assert(PointBuildable<SrpKwIndex<2>>);
 static_assert(BallKwQueryable<SrpKwIndex<2>>);
 static_assert(MemoryAccounted<SrpKwIndex<2>> && ExposesArity<SrpKwIndex<2>>);
 static_assert(DelegatingAuditable<SrpKwIndex<2>>);
+static_assert(FlatPersistable<SrpKwIndex<2>>);
 
 // ---------------------------------------------------------------------------
 // Dynamic ORP-KW (logarithmic method): built empty from options, queried
@@ -196,6 +201,8 @@ static_assert(requires(const StructuredOnlyBaseline<2>& b, const OrpBox<2>& q,
 // KSI (Section 2 reduction): the framework instance and the naive control.
 // ---------------------------------------------------------------------------
 static_assert(MemoryAccounted<FrameworkKsi> && ExposesArity<FrameworkKsi>);
+// The k-SI container is loaded against its instance, not a bare corpus.
+static_assert(FlatPersistable<FrameworkKsi, KsiInstance>);
 static_assert(requires(const FrameworkKsi& ksi,
                        std::span<const KeywordId> sets, QueryStats* stats) {
   { ksi.Report(sets, stats) } -> std::same_as<std::vector<int64_t>>;
@@ -229,17 +236,14 @@ static_assert(
                      std::declval<std::span<const uint64_t>>())),
                  HamSandwichCut>);
 
-static_assert(ArchiveSerializable<NodeDirectory>);
 static_assert(MemoryAccounted<NodeDirectory>);
-static_assert(ArchiveSerializable<RankSpace<1, double>>);
-static_assert(ArchiveSerializable<RankSpace<2, double>>);
 static_assert(MemoryAccounted<RankSpace<2, double>>);
 
 static_assert(SelfPersistable<Corpus>);
 static_assert(MemoryAccounted<Corpus>);
-// Corpus::Load takes no corpus argument — the stream-persistable contract
-// (which re-supplies one) must not claim it, and vice versa for indexes.
-static_assert(!StreamPersistable<Corpus>);
+// Corpus persists as a self-contained stream; indexes persist as flat
+// containers over a re-supplied corpus. Neither contract claims the other.
+static_assert(!FlatPersistable<Corpus>);
 static_assert(!SelfPersistable<OrpKwIndex<2>>);
 
 // The batched engine accepts any box-queryable family.
@@ -256,45 +260,55 @@ static_assert(std::constructible_from<QueryEngine<OrpKwIndex<2>>,
 // ---------------------------------------------------------------------------
 
 struct Conforming {
-  void Save(OutputArchive* ar) const;
-  void Load(InputArchive* ar);
+  static constexpr uint32_t kFlatFamilyTag = FlatFamilyTag('T', 'E', 'S', 'T');
+  void SaveFlat(std::ostream* out) const;
+  static Conforming LoadFlat(std::shared_ptr<const MmapFile> file,
+                             const Corpus* corpus);
 };
-static_assert(ArchiveSerializable<Conforming>);
+static_assert(FlatPersistable<Conforming>);
 
-// Missing Save entirely.
+// Missing SaveFlat entirely.
 struct BadNoSave {
-  void Load(InputArchive* ar);
+  static constexpr uint32_t kFlatFamilyTag = FlatFamilyTag('T', 'E', 'S', 'T');
+  static BadNoSave LoadFlat(std::shared_ptr<const MmapFile> file,
+                            const Corpus* corpus);
 };
-static_assert(!ArchiveSerializable<BadNoSave>);
+static_assert(!FlatPersistable<BadNoSave>);
 
-// Save exists but is not const-callable.
+// SaveFlat exists but is not const-callable.
 struct BadMutableSave {
-  void Save(OutputArchive* ar);
-  void Load(InputArchive* ar);
+  static constexpr uint32_t kFlatFamilyTag = FlatFamilyTag('T', 'E', 'S', 'T');
+  void SaveFlat(std::ostream* out);
+  static BadMutableSave LoadFlat(std::shared_ptr<const MmapFile> file,
+                                 const Corpus* corpus);
 };
-static_assert(!ArchiveSerializable<BadMutableSave>);
+static_assert(!FlatPersistable<BadMutableSave>);
 
-// Save takes the wrong archive type (asymmetric pair).
-struct BadSaveArchive {
-  void Save(InputArchive* ar) const;
-  void Load(InputArchive* ar);
+// SaveFlat takes an input stream (asymmetric pair).
+struct BadSaveStream {
+  static constexpr uint32_t kFlatFamilyTag = FlatFamilyTag('T', 'E', 'S', 'T');
+  void SaveFlat(std::istream* in) const;
+  static BadSaveStream LoadFlat(std::shared_ptr<const MmapFile> file,
+                                const Corpus* corpus);
 };
-static_assert(!ArchiveSerializable<BadSaveArchive>);
+static_assert(!FlatPersistable<BadSaveStream>);
 
-// Load returns a value instead of filling in place: the round-trip would
-// silently discard the rebuilt state.
+// Static LoadFlat returning the wrong type: the loaded index is lost.
 struct BadLoadReturn {
-  void Save(OutputArchive* ar) const;
-  int Load(InputArchive* ar);
+  static constexpr uint32_t kFlatFamilyTag = FlatFamilyTag('T', 'E', 'S', 'T');
+  void SaveFlat(std::ostream* out) const;
+  static int LoadFlat(std::shared_ptr<const MmapFile> file,
+                      const Corpus* corpus);
 };
-static_assert(!ArchiveSerializable<BadLoadReturn>);
+static_assert(!FlatPersistable<BadLoadReturn>);
 
-// Static Load returning the wrong type fails the stream contract.
-struct BadStaticLoad {
-  void Save(std::ostream* out) const;
-  static int Load(std::istream* in, const Corpus* corpus);
+// No family tag: the container header could not name the family.
+struct BadNoTag {
+  void SaveFlat(std::ostream* out) const;
+  static BadNoTag LoadFlat(std::shared_ptr<const MmapFile> file,
+                           const Corpus* corpus);
 };
-static_assert(!StreamPersistable<BadStaticLoad>);
+static_assert(!FlatPersistable<BadNoTag>);
 
 // A query entry point without the OpsBudget parameter is not budgeted.
 struct BadUnbudgetedQuery {

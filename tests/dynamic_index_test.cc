@@ -5,7 +5,7 @@
 // conjunctions), and RR-KW (rectangles/rectangles). The hard invariants:
 // batched insert/delete sequences answer exactly like a freshly built
 // static index over the live object set, the multi-level auditor is clean
-// at every checkpoint, and Save after quiescence is byte-identical to a
+// at every checkpoint, and SaveFlat after quiescence is byte-identical to a
 // from-scratch build. Plus: checkpoint round-trips, registry-once memory
 // accounting through insert→delete→reinsert cycles, and background merges
 // with concurrent-consistency spot checks.
@@ -30,6 +30,7 @@ namespace kwsc {
 namespace {
 
 using testing::ExpectAuditClean;
+using testing::FlatBytes;
 using testing::Sorted;
 
 Document RandomDoc(Rng& rng) {
@@ -47,7 +48,7 @@ std::vector<KeywordId> RandomQueryKeywords(Rng& rng) {
           static_cast<KeywordId>(15 + rng.NextBounded(15))};
 }
 
-// ---- Per-family generators and the family-appropriate Save bytes. ----
+// ---- Per-family generators. ----
 
 struct OrpFamilyCase {
   using Family = OrpKwIndex<2>;
@@ -63,11 +64,6 @@ struct OrpFamilyCase {
       q.hi[dim] = std::max(a, b);
     }
     return q;
-  }
-  static std::string SaveBytes(const Family& index) {
-    std::ostringstream out;
-    index.Save(&out);
-    return out.str();
   }
 };
 
@@ -85,11 +81,6 @@ struct SpFamilyCase {
       q.constraints.push_back(h);
     }
     return q;
-  }
-  static std::string SaveBytes(const Family& index) {
-    std::ostringstream out;
-    index.Save(&out);
-    return out.str();
   }
 };
 
@@ -109,11 +100,6 @@ struct RrFamilyCase {
     q.hi[0] = std::max(a, b);
     return q;
   }
-  static std::string SaveBytes(const Family& index) {
-    std::ostringstream out;
-    index.SaveFlat(&out);
-    return out.str();
-  }
 };
 
 template <typename Case>
@@ -125,7 +111,7 @@ TYPED_TEST_SUITE(DynamicIndexTest, FamilyCases);
 
 // Batched inserts and tombstone deletes, checked at every round against a
 // freshly built static index over the live object set: identical answers,
-// clean multi-level audits, and (after quiescence) byte-identical Save.
+// clean multi-level audits, and (after quiescence) byte-identical SaveFlat.
 TYPED_TEST(DynamicIndexTest, BatchedUpdatesMatchFreshStaticBuild) {
   using Case = TypeParam;
   using Family = typename Case::Family;
@@ -193,7 +179,7 @@ TYPED_TEST(DynamicIndexTest, BatchedUpdatesMatchFreshStaticBuild) {
     }
   }
 
-  // Save after quiescence == from-scratch build over the live set.
+  // SaveFlat after quiescence == from-scratch build over the live set.
   dynamic.WaitQuiescent();
   const auto compact = dynamic.Compact();
   std::vector<Geom> live_geoms;
@@ -208,7 +194,7 @@ TYPED_TEST(DynamicIndexTest, BatchedUpdatesMatchFreshStaticBuild) {
   EXPECT_EQ(compact.ids, live_ids);
   const Corpus corpus(live_docs);
   const Family scratch(live_geoms, &corpus, opt);
-  EXPECT_EQ(Case::SaveBytes(*compact.index), Case::SaveBytes(scratch));
+  EXPECT_EQ(FlatBytes(*compact.index), FlatBytes(scratch));
 }
 
 // The "KWDY" checkpoint round-trips: a loaded checkpoint answers like the
@@ -399,8 +385,7 @@ TEST(DynamicIndexConcurrent, BackgroundMergesKeepAnswersExact) {
   }
   const Corpus corpus(live_docs);
   const OrpKwIndex<2> scratch(live_points, &corpus, opt);
-  EXPECT_EQ(OrpFamilyCase::SaveBytes(*compact.index),
-            OrpFamilyCase::SaveBytes(scratch));
+  EXPECT_EQ(FlatBytes(*compact.index), FlatBytes(scratch));
 }
 
 }  // namespace

@@ -9,8 +9,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/flat_arena.h"
 #include "common/random.h"
-#include "common/serialize.h"
 #include "core/balanced_cut.h"
 #include "core/dim_reduction.h"
 #include "core/nn_linf.h"
@@ -61,20 +61,21 @@ TEST(EdgeRankSpace, SingleObject) {
   EXPECT_TRUE(rq.Contains(rs.ToRank(0)));
 }
 
-TEST(EdgeRankSpace, SaveLoadRoundTrip) {
+TEST(EdgeRankSpace, FlatRoundTrip) {
   Rng rng(4441);
   auto pts = GeneratePoints<2>(100, PointDistribution::kUniform, &rng);
   RankSpace<2> original{std::span<const Point<2>>(pts)};
-  std::stringstream stream;
-  {
-    OutputArchive ar(&stream);
-    original.Save(&ar);
-  }
+  constexpr uint32_t kTag = FlatFamilyTag('T', 'R', 'K', '2');
+  FlatArenaWriter writer(kTag);
+  writer.Root(original.SaveFlatSlabs(&writer));
+  std::ostringstream out;
+  writer.WriteTo(&out);
+  const auto file = MmapFile::FromBytes(out.str());
+  const FlatArenaReader reader(*file, /*offset=*/0, kTag);
   RankSpace<2> loaded;
-  {
-    InputArchive ar(&stream);
-    loaded.Load(&ar);
-  }
+  ASSERT_TRUE(loaded.AttachFlat(reader,
+                                reader.Root<RankSpace<2>::FlatImage>(),
+                                pts.size(), AbortingFlatErrorSink()));
   for (uint32_t e = 0; e < pts.size(); ++e) {
     EXPECT_EQ(loaded.ToRank(e).coords, original.ToRank(e).coords);
   }

@@ -36,19 +36,11 @@ namespace kwsc {
 namespace {
 
 using testing::ExpectAuditClean;
+using testing::FlatBytes;
 
 template <typename Index>
 std::shared_ptr<const MmapFile> SaveFlatToFile(const Index& index) {
-  std::ostringstream out;
-  index.SaveFlat(&out);
-  return MmapFile::FromBytes(out.str());
-}
-
-template <typename Index>
-std::string SaveFlatToBytes(const Index& index) {
-  std::ostringstream out;
-  index.SaveFlat(&out);
-  return out.str();
+  return MmapFile::FromBytes(FlatBytes(index));
 }
 
 struct Workload {
@@ -138,7 +130,7 @@ TEST(FlatArena, ContainersConcatenate) {
 TEST(FlatLayout, OrpKwRoundTrip) {
   Workload w = MakeWorkload();
   const OrpKwIndex<2> built(w.pts, &w.corpus, w.opt);
-  const std::string bytes = SaveFlatToBytes(built);
+  const std::string bytes = FlatBytes(built);
   EXPECT_EQ(bytes.size() % kFlatAlignment, 0u);
   const auto loaded =
       OrpKwIndex<2>::LoadFlat(MmapFile::FromBytes(bytes), &w.corpus);
@@ -153,18 +145,16 @@ TEST(FlatLayout, OrpKwRoundTrip) {
   }
 }
 
-TEST(FlatLayout, OrpKwFlatLoadedResavesV1Identically) {
-  // A flat-loaded index must be a full citizen: its v1 Save must equal the
-  // pointer-built index's v1 Save byte for byte (the auditor's
+TEST(FlatLayout, OrpKwFlatLoadedResavesIdentically) {
+  // A flat-loaded index must be a full citizen: its SaveFlat must equal the
+  // pointer-built index's SaveFlat byte for byte (the auditor's
   // serialization check depends on this).
   Workload w = MakeWorkload(300, 7);
   const OrpKwIndex<2> built(w.pts, &w.corpus, w.opt);
+  const std::string bytes = FlatBytes(built);
   const auto loaded =
-      OrpKwIndex<2>::LoadFlat(SaveFlatToFile(built), &w.corpus);
-  std::ostringstream from_built, from_flat;
-  built.Save(&from_built);
-  loaded.Save(&from_flat);
-  EXPECT_EQ(from_built.str(), from_flat.str());
+      OrpKwIndex<2>::LoadFlat(MmapFile::FromBytes(bytes), &w.corpus);
+  EXPECT_EQ(FlatBytes(loaded), bytes);
 }
 
 TEST(FlatLayout, SpKwBoxRoundTrip) {
@@ -323,7 +313,7 @@ using FlatLayoutDeathTest = ::testing::Test;
 TEST(FlatLayoutDeathTest, TruncatedFileAborts) {
   Workload w = MakeWorkload(200, 41);
   const OrpKwIndex<2> built(w.pts, &w.corpus, w.opt);
-  const std::string bytes = SaveFlatToBytes(built);
+  const std::string bytes = FlatBytes(built);
   const std::string truncated = bytes.substr(0, bytes.size() / 2);
   EXPECT_DEATH(
       {
@@ -346,7 +336,7 @@ TEST(FlatLayoutDeathTest, HeaderOnlyPrefixAborts) {
 TEST(FlatLayoutDeathTest, MisalignedOffsetAborts) {
   Workload w = MakeWorkload(200, 43);
   const OrpKwIndex<2> built(w.pts, &w.corpus, w.opt);
-  const std::string bytes = SaveFlatToBytes(built);
+  const std::string bytes = FlatBytes(built);
   // A container whose start is not on the alignment quantum is refused
   // before any slab is touched.
   const std::string shifted = std::string(8, '\0') + bytes;
@@ -361,7 +351,7 @@ TEST(FlatLayoutDeathTest, MisalignedOffsetAborts) {
 TEST(FlatLayoutDeathTest, WrongFamilyTagAborts) {
   Workload w = MakeWorkload(200, 47);
   const SpKwBoxIndex<2> built(w.pts, &w.corpus, w.opt);
-  const std::string bytes = SaveFlatToBytes(built);
+  const std::string bytes = FlatBytes(built);
   EXPECT_DEATH(
       {
         auto loaded = OrpKwIndex<2>::LoadFlat(MmapFile::FromBytes(bytes),
@@ -380,7 +370,7 @@ TEST(FlatLayoutDeathTest, WrongDimensionalityAborts) {
   FrameworkOptions opt;
   opt.k = 2;
   const OrpKwIndex<1> built(pts, &corpus, opt);
-  const std::string bytes = SaveFlatToBytes(built);
+  const std::string bytes = FlatBytes(built);
   EXPECT_DEATH(
       {
         auto loaded =
@@ -395,7 +385,7 @@ TEST(FlatLayoutDeathTest, WrongDimensionalityAborts) {
 TEST(FlatLayoutDeathTest, WrongCorpusAborts) {
   Workload w = MakeWorkload(200, 59);
   const OrpKwIndex<2> built(w.pts, &w.corpus, w.opt);
-  const std::string bytes = SaveFlatToBytes(built);
+  const std::string bytes = FlatBytes(built);
   Rng other_rng(60);
   CorpusSpec other_spec;
   other_spec.num_objects = 100;

@@ -2,10 +2,14 @@
 //
 // The golden-format dataset: a tiny hand-written workload (no generators,
 // no Rng — the bytes must be a pure function of the format code) and the
-// exact Save/SaveFlat byte streams the committed files under tests/golden/
-// were produced from. Shared by tests/golden_format_test.cc (regenerate,
-// byte-compare, load, audit) and tests/make_golden.cc (the one-shot writer
-// that created the committed files).
+// exact byte streams the rendered files under tests/golden/ were produced
+// from. Shared by tests/golden_format_test.cc (regenerate, byte-compare,
+// load, audit) and tests/make_golden.cc (the one-shot writer that created
+// the committed files).
+//
+// The v1 index streams (V1Fixtures) are read-only fixtures: the library no
+// longer writes that format, so nothing renders them. Each must convert
+// (tools/flat_convert) to the bytes of its committed v2 counterpart.
 //
 // If a golden comparison fails, the on-disk format changed: bump the owning
 // format's constant in src/core/format_versions.h, regenerate FORMATS.lock
@@ -23,6 +27,7 @@
 #include <vector>
 
 #include "core/dynamic_index.h"
+#include "core/nn_linf.h"
 #include "core/orp_kw.h"
 #include "core/sp_kw_box.h"
 #include "geom/point.h"
@@ -77,50 +82,47 @@ inline std::unique_ptr<DynamicIndex<OrpKwIndex<2>>> MakeDynamic() {
   return dyn;
 }
 
-/// name -> byte stream, for all six golden files.
+/// The committed v1 index fixtures, each paired with the v2 golden its
+/// conversion must reproduce.
+struct V1Fixture {
+  std::string v1_name;
+  std::string v2_name;
+};
+
+inline std::vector<V1Fixture> V1Fixtures() {
+  return {{"orp_kw_v1.bin", "orp_kw_v2.bin"},
+          {"sp_kw_box_v1.bin", "sp_kw_box_v2.bin"},
+          {"linf_nn_v1.bin", "linf_nn_v2.bin"}};
+}
+
+/// name -> byte stream, for every rendered golden file.
 struct GoldenFile {
   std::string name;
   std::string bytes;
 };
+
+template <typename Writer>
+std::string Render(Writer&& write) {
+  std::ostringstream out;
+  write(&out);
+  return out.str();
+}
 
 inline std::vector<GoldenFile> RenderAll() {
   const Corpus corpus = MakeCorpus();
   const std::vector<Point<2>> pts = MakePoints();
   const OrpKwIndex<2> orp(pts, &corpus, MakeOptions());
   const SpKwBoxIndex<2> sp(pts, &corpus, MakeOptions());
-
-  std::vector<GoldenFile> files;
-  {
-    std::ostringstream out;
-    corpus.Save(&out);
-    files.push_back({"corpus_v1.bin", out.str()});
-  }
-  {
-    std::ostringstream out;
-    orp.Save(&out);
-    files.push_back({"orp_kw_v1.bin", out.str()});
-  }
-  {
-    std::ostringstream out;
-    orp.SaveFlat(&out);
-    files.push_back({"orp_kw_v2.bin", out.str()});
-  }
-  {
-    std::ostringstream out;
-    sp.Save(&out);
-    files.push_back({"sp_kw_box_v1.bin", out.str()});
-  }
-  {
-    std::ostringstream out;
-    sp.SaveFlat(&out);
-    files.push_back({"sp_kw_box_v2.bin", out.str()});
-  }
-  {
-    std::ostringstream out;
-    MakeDynamic()->SaveCheckpoint(&out);
-    files.push_back({"dynamic_checkpoint_v1.bin", out.str()});
-  }
-  return files;
+  const LinfNnIndex<2> nn(pts, &corpus, MakeOptions());
+  return {
+      {"corpus_v1.bin", Render([&](std::ostream* out) { corpus.Save(out); })},
+      {"orp_kw_v2.bin", Render([&](std::ostream* out) { orp.SaveFlat(out); })},
+      {"sp_kw_box_v2.bin",
+       Render([&](std::ostream* out) { sp.SaveFlat(out); })},
+      {"linf_nn_v2.bin", Render([&](std::ostream* out) { nn.SaveFlat(out); })},
+      {"dynamic_checkpoint_v1.bin",
+       Render([&](std::ostream* out) { MakeDynamic()->SaveCheckpoint(out); })},
+  };
 }
 
 }  // namespace golden

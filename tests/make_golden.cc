@@ -1,8 +1,9 @@
 // Copyright 2026 The kwsc Authors. Licensed under the Apache License 2.0.
 //
-// Writes the golden format files (tests/golden_util.h) into the directory
-// given as argv[1]. Run once per deliberate format change, commit the
-// output together with the version bump and the regenerated FORMATS.lock:
+// Writes the rendered golden format files (tests/golden_util.h) into the
+// directory given as argv[1]; the v1 index fixtures are never rewritten.
+// Run once per deliberate format change, commit the output together with
+// the version bump and the regenerated FORMATS.lock:
 //
 //   cmake --build build --target make_golden
 //   build/tests/make_golden tests/golden

@@ -2,15 +2,14 @@
 //
 // Determinism contract of the parallel build: for every thread count, the
 // constructed index is the SAME index — not just query-equivalent but
-// byte-identical under Save. Forked subtrees build into private arenas that
-// are spliced back in DFS preorder, so node layout, child indices, and every
-// NodeDirectory match the sequential build exactly. These tests pin that
-// contract, plus the degenerate-weight fix in WeightedMedianIndex.
+// byte-identical under SaveFlat. Forked subtrees build into private arenas
+// that are spliced back in DFS preorder, so node layout, child indices, and
+// every NodeDirectory match the sequential build exactly. These tests pin
+// that contract, plus the degenerate-weight fix in WeightedMedianIndex.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 #include <string>
 
 #include "common/random.h"
@@ -25,16 +24,10 @@ namespace kwsc {
 namespace {
 
 using testing::BruteBox;
+using testing::FlatBytes;
 using testing::Sorted;
 
-template <typename Index>
-std::string SaveBytes(const Index& index) {
-  std::stringstream stream;
-  index.Save(&stream);
-  return stream.str();
-}
-
-TEST(ParallelBuild, OrpKwSaveBytesIdenticalAcrossThreadCounts) {
+TEST(ParallelBuild, OrpKwFlatBytesIdenticalAcrossThreadCounts) {
   Rng rng(7101);
   CorpusSpec spec;
   spec.num_objects = 3000;
@@ -46,17 +39,17 @@ TEST(ParallelBuild, OrpKwSaveBytesIdenticalAcrossThreadCounts) {
   opt.k = 2;
   opt.num_threads = 1;
   OrpKwIndex<2> sequential(pts, &corpus, opt);
-  const std::string expected = SaveBytes(sequential);
+  const std::string expected = FlatBytes(sequential);
 
   for (int threads : {2, 4, 8}) {
     opt.num_threads = threads;
     OrpKwIndex<2> parallel(pts, &corpus, opt);
     EXPECT_EQ(parallel.num_nodes(), sequential.num_nodes());
-    ASSERT_EQ(SaveBytes(parallel), expected) << "num_threads=" << threads;
+    ASSERT_EQ(FlatBytes(parallel), expected) << "num_threads=" << threads;
   }
 }
 
-TEST(ParallelBuild, OrpKwSaveBytesIdenticalForK3) {
+TEST(ParallelBuild, OrpKwFlatBytesIdenticalForK3) {
   Rng rng(7102);
   CorpusSpec spec;
   spec.num_objects = 1500;
@@ -70,7 +63,7 @@ TEST(ParallelBuild, OrpKwSaveBytesIdenticalForK3) {
   OrpKwIndex<2> sequential(pts, &corpus, opt);
   opt.num_threads = 4;
   OrpKwIndex<2> parallel(pts, &corpus, opt);
-  ASSERT_EQ(SaveBytes(parallel), SaveBytes(sequential));
+  ASSERT_EQ(FlatBytes(parallel), FlatBytes(sequential));
 }
 
 TEST(ParallelBuild, OrpKwParallelAnswersMatchOracle) {

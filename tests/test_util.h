@@ -25,6 +25,15 @@
 namespace kwsc {
 namespace testing {
 
+/// The index's v2 flat container bytes: what the determinism tests
+/// (parallel build, Compact() vs from-scratch, reload) compare.
+template <typename Index>
+std::string FlatBytes(const Index& index) {
+  std::ostringstream out;
+  index.SaveFlat(&out);
+  return out.str();
+}
+
 /// Runs the paper-invariant auditor over a built index and fails the test
 /// with the full violation report when any check fires. Gated on
 /// audit::AuditEnabled() (the KWSC_AUDIT compile definition or environment

@@ -87,11 +87,12 @@ for i, h in enumerate(doc["histograms"]):
         if not b["lo"] <= b["hi"]:
             fail(f"{where}.buckets[{j}]: lo > hi")
 
-# bench_load reports (name == "load") carry the mmap-vs-stream comparison;
-# enforce the fields the space<->latency curve and the CI speedup gate read.
+# bench_load reports (name == "load") carry the mmap-load-vs-rebuild
+# comparison; enforce the fields the space<->latency curve and the CI
+# speedup gate read.
 if doc["name"] == "load":
-    required = ("N", "stream_load_ms", "mmap_load_ms", "speedup",
-                "stream_rss_bytes", "mmap_rss_bytes", "flat_file_bytes",
+    required = ("N", "build_ms", "mmap_load_ms", "speedup",
+                "mmap_rss_bytes", "flat_file_bytes",
                 "built_query_us", "flat_query_us")
     if not doc["points"]:
         fail("load report has no sweep points")

@@ -1,119 +1,22 @@
 // Copyright 2026 The kwsc Authors. Licensed under the Apache License 2.0.
 //
-// flat_convert: migrate a v1 stream-format index file to the v2 mmap-native
-// flat layout (DESIGN.md, "On-disk layout v2").
+// flat_convert: convert a v1 stream-format index file to the v2 flat
+// container (DESIGN.md, "On-disk layout v2") by rebuilding it from the
+// points and options the v1 file stores (v1_reader.h).
 //
 //   $ flat_convert <corpus-file> <v1-index-file> <v2-output-file>
 //
-// The family and dimensionality are read from the v1 header (magic "KWO1" /
-// "KWS1" / "KWN1" plus a uint32 dim), the index is loaded through the
-// family's v1 Load (which validates it against the corpus), re-written with
-// SaveFlat, and the produced container is validated before the tool reports
-// success — a file this tool emits always passes the flat-layout audit.
+// The corpus file is the Corpus::Save stream the index was built over. The
+// output is written only after the rebuilt container passes the family's
+// flat validator; any mismatch exits non-zero with a message.
 
-#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <memory>
+#include <sstream>
 #include <string>
 
-#include "common/flat_arena.h"
-#include "core/nn_linf.h"
-#include "core/orp_kw.h"
-#include "core/sp_kw_box.h"
+#include "flat_convert/v1_reader.h"
 #include "text/corpus.h"
-
-namespace kwsc {
-namespace {
-
-struct V1Header {
-  char magic[5] = {0};
-  uint32_t version = 0;
-  uint32_t dim = 0;
-};
-
-bool PeekHeader(const std::string& path, V1Header* header) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  in.read(header->magic, 4);
-  in.read(reinterpret_cast<char*>(&header->version), sizeof(uint32_t));
-  in.read(reinterpret_cast<char*>(&header->dim), sizeof(uint32_t));
-  return in.good();
-}
-
-template <typename Index>
-int Convert(const Corpus& corpus, const std::string& in_path,
-            const std::string& out_path) {
-  std::ifstream in(in_path, std::ios::binary);
-  const Index index = Index::Load(&in, &corpus);
-  {
-    std::ofstream out(out_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "flat_convert: cannot write %s\n",
-                   out_path.c_str());
-      return 1;
-    }
-    index.SaveFlat(&out);
-  }
-  const std::shared_ptr<const MmapFile> file = MmapFile::Open(out_path);
-  bool clean = true;
-  const FlatErrorSink sink = [&clean](const std::string& message) {
-    clean = false;
-    std::fprintf(stderr, "flat_convert: produced container invalid: %s\n",
-                 message.c_str());
-  };
-  if (!Index::ValidateFlat(*file, /*offset=*/0, Index::kFlatFamilyTag, sink) ||
-      !clean) {
-    return 1;
-  }
-  std::printf("flat_convert: %s -> %s (%llu bytes, %s)\n", in_path.c_str(),
-              out_path.c_str(), static_cast<unsigned long long>(file->size()),
-              file->used_mmap() ? "mmap-validated" : "heap-validated");
-  return 0;
-}
-
-int Run(const std::string& corpus_path, const std::string& in_path,
-        const std::string& out_path) {
-  V1Header header;
-  if (!PeekHeader(in_path, &header)) {
-    std::fprintf(stderr, "flat_convert: cannot read v1 header from %s\n",
-                 in_path.c_str());
-    return 1;
-  }
-  if (header.version != 1) {
-    std::fprintf(stderr, "flat_convert: unsupported version %u\n",
-                 header.version);
-    return 1;
-  }
-  std::ifstream corpus_in(corpus_path, std::ios::binary);
-  if (!corpus_in) {
-    std::fprintf(stderr, "flat_convert: cannot read corpus %s\n",
-                 corpus_path.c_str());
-    return 1;
-  }
-  const Corpus corpus = Corpus::Load(&corpus_in);
-
-  const std::string magic(header.magic);
-  if (magic == "KWO1") {
-    if (header.dim == 1) return Convert<OrpKwIndex<1>>(corpus, in_path, out_path);
-    if (header.dim == 2) return Convert<OrpKwIndex<2>>(corpus, in_path, out_path);
-  } else if (magic == "KWS1") {
-    if (header.dim == 2) return Convert<SpKwBoxIndex<2>>(corpus, in_path, out_path);
-    if (header.dim == 3) return Convert<SpKwBoxIndex<3>>(corpus, in_path, out_path);
-  } else if (magic == "KWN1") {
-    if (header.dim == 1) return Convert<LinfNnIndex<1>>(corpus, in_path, out_path);
-    if (header.dim == 2) return Convert<LinfNnIndex<2>>(corpus, in_path, out_path);
-  }
-  std::fprintf(stderr,
-               "flat_convert: unsupported family %.4s dim %u (supported: "
-               "KWO1 d=1,2; KWS1 d=2,3; KWN1 d=1,2)\n",
-               header.magic, header.dim);
-  return 1;
-}
-
-}  // namespace
-}  // namespace kwsc
 
 int main(int argc, char** argv) {
   if (argc != 4) {
@@ -122,5 +25,27 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
-  return kwsc::Run(argv[1], argv[2], argv[3]);
+  std::ifstream corpus_in(argv[1], std::ios::binary);
+  std::ifstream index_in(argv[2], std::ios::binary);
+  if (!corpus_in || !index_in) {
+    std::fprintf(stderr, "flat_convert: cannot read %s\n",
+                 corpus_in ? argv[2] : argv[1]);
+    return 1;
+  }
+  const kwsc::Corpus corpus = kwsc::Corpus::Load(&corpus_in);
+  std::ostringstream flat;
+  std::string error;
+  if (!kwsc::flat_convert::ConvertV1ToFlat(&index_in, corpus, &flat, &error)) {
+    std::fprintf(stderr, "flat_convert: %s: %s\n", argv[2], error.c_str());
+    return 1;
+  }
+  std::ofstream out(argv[3], std::ios::binary | std::ios::trunc);
+  out << flat.str();
+  if (!out.good()) {
+    std::fprintf(stderr, "flat_convert: cannot write %s\n", argv[3]);
+    return 1;
+  }
+  std::printf("flat_convert: %s -> %s (%zu bytes)\n", argv[2], argv[3],
+              flat.str().size());
+  return 0;
 }
