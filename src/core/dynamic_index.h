@@ -9,10 +9,13 @@
 // dynamizes them all: a small insertion buffer plus static indexes of
 // geometrically growing capacities (slot s holds at most B * 2^s objects,
 // where B is the buffer capacity). An insert that fills the buffer performs
-// a binary-counter carry: the buffer and every consecutive full level are
-// rebuilt into the first empty slot. Each object is rebuilt O(log n) times,
-// so inserts cost O(polylog n) amortized build work; a query fans out to
-// the buffer plus O(log n) static levels.
+// a carry: the whole buffer, plus every occupied level from slot 0 up to the
+// first empty slot whose capacity holds everything gathered, is rebuilt into
+// that slot. With a buffer of exactly B (always the case without a merge
+// pool) this is the binary-counter carry. Every rebuild moves an object to a
+// strictly higher slot, so each object is rebuilt O(log(n/B)) times and
+// inserts cost O(polylog n) amortized build work; a query fans out to the
+// buffer plus O(log n) static levels.
 //
 // Deletes are tombstones (the classic weak-deletion device): Delete marks
 // the id dead in an immutable bitmap, queries filter dead ids at emit time,
@@ -29,8 +32,10 @@
 // a fresh snapshot after every batch. With a merge pool, carries build the
 // new level *off* the lock on the ThreadPool while inserts, deletes, and
 // queries proceed; the buffer is allowed to grow past capacity while a
-// merge is in flight (at most one runs at a time) and the deferred carry
-// drains when it completes. Without a pool, carries run synchronously
+// merge is in flight (at most one runs at a time), and the next carry takes
+// that whole backlog in one rebuild when the merge completes. So an object
+// waits in the buffer through at most two carries: the one in flight when
+// it arrives, and the next. Without a pool, carries run synchronously
 // inside the update call.
 //
 // Budgeted queries (footnote 4): the OpsBudget is shared across the buffer
@@ -269,6 +274,19 @@ class DynamicIndex {
     return merge_inflight_;
   }
 
+  /// How much rebuild work the carries have done: installed carries, and
+  /// the members of the levels they built (tombstoned members dropped).
+  /// Levels rebuilt by LoadCheckpoint are not carries.
+  struct CarryCounters {
+    uint64_t carries = 0;
+    uint64_t objects_rebuilt = 0;
+  };
+
+  CarryCounters carry_counters() const {
+    MutexLock lock(&mu_);
+    return carry_counters_;
+  }
+
   /// Blocks until no background merge is in flight and no carry is owed
   /// (the buffer is back under capacity). A no-op without a merge pool.
   void WaitQuiescent() {
@@ -352,6 +370,11 @@ class DynamicIndex {
     index->num_objects_ = header.num_objects;
     auto dead = std::make_shared<std::vector<uint8_t>>();
     dead->resize(header.num_objects, 0);
+    for (ObjectId id : index->buffer_ids_) {
+      KWSC_CHECK_MSG(id < header.num_objects,
+                     "checkpoint buffer id %u out of range (%llu objects)", id,
+                     static_cast<unsigned long long>(header.num_objects));
+    }
     for (ObjectId id : dead_ids) {
       KWSC_CHECK(id < header.num_objects);
       (*dead)[id] = 1;
@@ -471,7 +494,6 @@ class DynamicIndex {
     std::vector<GeomType> geoms;
     std::vector<Document> docs;
     size_t consumed_buffer = 0;
-    size_t num_consumed_slots = 0;
     size_t target_slot = 0;
   };
 
@@ -513,9 +535,18 @@ class DynamicIndex {
     return marked;
   }
 
-  /// Synchronous mode: carry until the buffer is under capacity. Background
-  /// mode: schedule one carry if none is in flight; an over-capacity buffer
-  /// during a merge is the deferred carry RunMergeTask drains.
+  /// Appends the ids in `ids` that are not tombstoned to `out`.
+  void AppendLiveLocked(std::span<const ObjectId> ids,
+                        std::vector<ObjectId>* out) const KWSC_REQUIRES(mu_) {
+    for (ObjectId id : ids) {
+      if (!IsDeadLocked(id)) out->push_back(id);
+    }
+  }
+
+  /// Synchronous mode: carry until the buffer is under capacity (one carry:
+  /// it takes the whole buffer). Background mode: schedule one carry if none
+  /// is in flight; an over-capacity buffer during a merge is the backlog
+  /// RunMergeTask hands to the next carry.
   void MaybeCarryLocked() KWSC_REQUIRES(mu_) {
     if (merge_pool_ == nullptr) {
       while (buffer_ids_.size() >= buffer_capacity_) {
@@ -531,32 +562,31 @@ class DynamicIndex {
     }
   }
 
-  /// Binary-counter carry planning: consume one buffer's worth of ids plus
-  /// every consecutive full level from slot 0; the rebuilt level lands in
-  /// the first empty slot. Tombstoned members are dropped here — this is
-  /// the point deletes reclaim space. Consumed state stays in place (and in
-  /// the published snapshot) until InstallLocked.
+  /// Carry planning: consume the whole buffer, then walk the slots from 0,
+  /// consuming every occupied level, until an empty slot (or one past the
+  /// end) whose capacity B * 2^s holds every live member gathered; the
+  /// rebuilt level lands there. A buffer of exactly B makes this the
+  /// binary-counter carry; a backlog skips the small slots instead of being
+  /// merged into them a capacity at a time. Tombstoned members are dropped
+  /// here — this is the point deletes reclaim space. Consumed state stays
+  /// in place (and in the published snapshot) until InstallLocked.
   CarryPlan PlanCarryLocked() KWSC_REQUIRES(mu_) {
     CarryPlan plan;
-    plan.consumed_buffer = std::min(buffer_ids_.size(), buffer_capacity_);
-    std::vector<ObjectId> gathered(
-        buffer_ids_.begin(),
-        buffer_ids_.begin() + static_cast<ptrdiff_t>(plan.consumed_buffer));
+    plan.consumed_buffer = buffer_ids_.size();
+    AppendLiveLocked(buffer_ids_, &plan.ids);
     size_t slot = 0;
-    while (slot < levels_.size() && levels_[slot] != nullptr) {
-      const Level& level = *levels_[slot];
-      gathered.insert(gathered.end(), level.id_map.begin(),
-                      level.id_map.end());
-      ++slot;
+    for (;; ++slot) {
+      const bool occupied = slot < levels_.size() && levels_[slot] != nullptr;
+      if (occupied) {
+        AppendLiveLocked(levels_[slot]->id_map, &plan.ids);
+      } else if ((buffer_capacity_ << slot) >= plan.ids.size()) {
+        break;
+      }
     }
-    plan.num_consumed_slots = slot;
     plan.target_slot = slot;
-    plan.ids.reserve(gathered.size());
-    plan.geoms.reserve(gathered.size());
-    plan.docs.reserve(gathered.size());
-    for (ObjectId id : gathered) {
-      if (IsDeadLocked(id)) continue;
-      plan.ids.push_back(id);
+    plan.geoms.reserve(plan.ids.size());
+    plan.docs.reserve(plan.ids.size());
+    for (ObjectId id : plan.ids) {
       plan.geoms.push_back(all_geoms_[id]);
       plan.docs.push_back(*all_docs_[id]);
     }
@@ -577,16 +607,23 @@ class DynamicIndex {
     return level;
   }
 
+  /// Replaces the consumed buffer prefix and every slot below the target
+  /// (each was consumed or already empty) with the rebuilt level. The target
+  /// can lie past the end of levels_, so the slot vector grows first.
   void InstallLocked(const CarryPlan& plan, std::shared_ptr<const Level> level)
       KWSC_REQUIRES(mu_) {
     buffer_ids_.erase(
         buffer_ids_.begin(),
         buffer_ids_.begin() + static_cast<ptrdiff_t>(plan.consumed_buffer));
-    for (size_t slot = 0; slot < plan.num_consumed_slots; ++slot) {
-      levels_[slot] = nullptr;
-    }
     if (plan.target_slot >= levels_.size()) {
       levels_.resize(plan.target_slot + 1);
+    }
+    for (size_t slot = 0; slot < plan.target_slot; ++slot) {
+      levels_[slot] = nullptr;
+    }
+    ++carry_counters_.carries;
+    if (level != nullptr) {
+      carry_counters_.objects_rebuilt += level->id_map.size();
     }
     levels_[plan.target_slot] = std::move(level);
   }
@@ -657,6 +694,7 @@ class DynamicIndex {
   std::vector<std::shared_ptr<const Level>> levels_ KWSC_GUARDED_BY(mu_);
 
   bool merge_inflight_ KWSC_GUARDED_BY(mu_) = false;
+  CarryCounters carry_counters_ KWSC_GUARDED_BY(mu_);
 
   // The reader handoff point (common/epoch.h): queries Acquire, the writer
   // Publishes after every mutation batch.

@@ -7,17 +7,21 @@
 // static index over the live object set, the multi-level auditor is clean
 // at every checkpoint, and SaveFlat after quiescence is byte-identical to a
 // from-scratch build. Plus: checkpoint round-trips, registry-once memory
-// accounting through insert→delete→reinsert cycles, and background merges
-// with concurrent-consistency spot checks.
+// accounting through insert→delete→reinsert cycles, background merges
+// with concurrent-consistency spot checks, and the one-carry absorption of
+// an insert backlog built up behind a busy merge worker.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/random.h"
+#include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "core/dynamic_index.h"
 #include "core/orp_kw.h"
@@ -386,6 +390,148 @@ TEST(DynamicIndexConcurrent, BackgroundMergesKeepAnswersExact) {
   const Corpus corpus(live_docs);
   const OrpKwIndex<2> scratch(live_points, &corpus, opt);
   EXPECT_EQ(FlatBytes(*compact.index), FlatBytes(scratch));
+}
+
+// Holds a pool worker inside Hold() until Release(), so work queued behind
+// it waits for as long as the test wants.
+class WorkerLatch {
+ public:
+  void Hold() KWSC_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    held_ = true;
+    cv_.NotifyAll();
+    while (!released_) cv_.Wait(&mu_);
+  }
+
+  void WaitHeld() KWSC_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    while (!held_) cv_.Wait(&mu_);
+  }
+
+  void Release() KWSC_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    released_ = true;
+    cv_.NotifyAll();
+  }
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  bool held_ KWSC_GUARDED_BY(mu_) = false;
+  bool released_ KWSC_GUARDED_BY(mu_) = false;
+};
+
+// A merge worker that falls behind, made deterministic: the pool's only
+// worker is latched, so the first carry (the first 16 objects, planned at
+// the 16th insert) queues behind the latch while the other 104 inserts — and
+// `doomed`'s deletes — pile up in the buffer. Once released, the next carry
+// takes the whole backlog plus slot 0 in one rebuild into slot 3 (capacity
+// 128), instead of five more capacity-sized carries that would leave slots
+// 0/1/2 = 16/32/64 with 8 buffered.
+void ExpectBacklogAbsorbedByOneCarry(const std::vector<ObjectId>& doomed) {
+  constexpr size_t kBuffer = 16;
+  constexpr size_t kObjects = 120;
+  ThreadPool pool(1);
+  WorkerLatch latch;
+  TaskGroup holder(&pool);
+  holder.Run([&latch] { latch.Hold(); });
+  latch.WaitHeld();
+
+  FrameworkOptions opt;
+  opt.k = 2;
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt, kBuffer, &pool);
+  Rng rng(4242);
+  std::vector<Point<2>> points;
+  std::vector<Document> docs;
+  for (size_t i = 0; i < kObjects; ++i) {
+    points.push_back(Point<2>{{rng.NextDouble(), rng.NextDouble()}});
+    docs.push_back(RandomDoc(rng));
+    dynamic.Insert(points.back(), docs.back());
+  }
+  EXPECT_TRUE(dynamic.MergeInFlight());
+  EXPECT_EQ(dynamic.DeleteBatch(doomed), doomed.size());
+  std::vector<bool> live(kObjects, true);
+  for (ObjectId id : doomed) live[id] = false;
+  latch.Release();
+  dynamic.WaitQuiescent();
+  holder.Wait();
+
+  const size_t live_count = kObjects - doomed.size();
+  const auto view = dynamic.DebugAuditView();
+  EXPECT_TRUE(view.buffer_ids.empty());
+  ASSERT_EQ(view.levels.size(), 4u);
+  for (size_t slot = 0; slot < 3; ++slot) {
+    EXPECT_EQ(view.levels[slot], nullptr) << "slot " << slot;
+  }
+  ASSERT_NE(view.levels[3], nullptr);
+  EXPECT_EQ(view.levels[3]->id_map.size(), live_count);
+  const auto counters = dynamic.carry_counters();
+  EXPECT_EQ(counters.carries, 2u);
+  EXPECT_EQ(counters.objects_rebuilt, kBuffer + live_count);
+
+  const audit::AuditReport report = audit::AuditIndex(dynamic);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+
+  for (int qi = 0; qi < 12; ++qi) {
+    const Box<2> q = OrpFamilyCase::MakeRegion(rng);
+    const std::vector<KeywordId> kws = RandomQueryKeywords(rng);
+    std::vector<ObjectId> want;
+    for (ObjectId e = 0; e < kObjects; ++e) {
+      if (live[e] && q.Contains(points[e]) &&
+          docs[e].ContainsAll(kws.data(), kws.size())) {
+        want.push_back(e);
+      }
+    }
+    EXPECT_EQ(Sorted(dynamic.Query(q, kws)), want) << "query " << qi;
+  }
+
+  const auto compact = dynamic.Compact();
+  std::vector<Point<2>> live_points;
+  std::vector<Document> live_docs;
+  for (ObjectId id = 0; id < kObjects; ++id) {
+    if (!live[id]) continue;
+    live_points.push_back(points[id]);
+    live_docs.push_back(docs[id]);
+  }
+  const Corpus corpus(live_docs);
+  const OrpKwIndex<2> scratch(live_points, &corpus, opt);
+  EXPECT_EQ(FlatBytes(*compact.index), FlatBytes(scratch));
+}
+
+TEST(DynamicIndexConcurrent, BacklogIsAbsorbedByOneCarry) {
+  ExpectBacklogAbsorbedByOneCarry({});
+}
+
+// Deletes while the worker is latched: ids 3 and 9 sit in the queued first
+// carry (built with them, dropped by the second), the rest in the backlog.
+TEST(DynamicIndexConcurrent, BacklogCarryDropsTombstones) {
+  ExpectBacklogAbsorbedByOneCarry({3, 9, 50, 77, 119});
+}
+
+// A checkpoint whose buffer names an id past the registry is rejected at
+// load, before any snapshot reads the registry at that id.
+TEST(DynamicIndexCheckpointDeath, OutOfRangeBufferIdAborts) {
+  FrameworkOptions opt;
+  opt.k = 2;
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt, /*buffer_capacity=*/8);
+  Rng rng(97);
+  for (int i = 0; i < 5; ++i) {
+    dynamic.Insert({{rng.NextDouble(), rng.NextDouble()}}, RandomDoc(rng));
+  }
+  std::ostringstream out;
+  dynamic.SaveCheckpoint(&out);
+  std::string bytes = out.str();
+  // No carry has run, so the stream ends with the buffer id list, whose last
+  // entry is id 4.
+  ObjectId last = 0;
+  std::memcpy(&last, bytes.data() + bytes.size() - sizeof(last), sizeof(last));
+  ASSERT_EQ(last, 4u);
+  const ObjectId bogus = 0x7ffffff0;
+  std::memcpy(bytes.data() + bytes.size() - sizeof(bogus), &bogus,
+              sizeof(bogus));
+  std::istringstream in(bytes);
+  EXPECT_DEATH(DynamicIndex<OrpKwIndex<2>>::LoadCheckpoint(&in),
+               "buffer id 2147483632 out of range");
 }
 
 }  // namespace
