@@ -17,10 +17,9 @@
 #include "common/timer.h"
 #include "core/dim_reduction.h"
 #include "core/orp_kw.h"
-#include "core/query_engine.h"
 #include "core/sp_kw_box.h"
 #include "core/sp_kw_hs.h"
-#include "obs/metrics.h"
+#include "serve/shard_replica.h"
 #include "workload/generator.h"
 
 namespace kwsc {
@@ -108,19 +107,19 @@ void QueryLatencyProbe(const FrameworkOptions& base_opt,
                                                   : KeywordPick::kCooccurring,
                                        &rng)});
   }
-  obs::MetricsRegistry registry;
-  QueryEngine<OrpKwIndex<2>> engine(&index, base_opt, &registry);
-  const auto result = engine.Run(batch);
+  QueryHistograms histograms;
+  const ShardAnswer result =
+      AnswerBatch<OrpKwIndex<2>, Box<2>>(index, batch, &histograms);
+  const obs::Histogram& latency = histograms.latency;
   std::printf("\n-- query latency probe (OrpKwIndex<2>, %d queries) --\n",
               kQueries);
   std::printf("p50=%.1fus p90=%.1fus p99=%.1fus max=%.1fus\n",
-              result.latency.P50() / 1e3, result.latency.P90() / 1e3,
-              result.latency.P99() / 1e3, result.latency.max() / 1e3);
-  report->AddHistogram("query_latency_ns", result.latency, "ns");
-  report->AddHistogram("query_work_objects", result.work, "objects");
+              latency.P50() / 1e3, latency.P90() / 1e3, latency.P99() / 1e3,
+              latency.max() / 1e3);
+  report->AddHistogram("query_latency_ns", latency, "ns");
+  report->AddHistogram("query_work_objects", histograms.work, "objects");
   obs::AddQueryStatsCounters(result.stats, "probe_stats",
                              report->mutable_registry());
-  report->MergeRegistry(registry);
 }
 
 }  // namespace

@@ -18,13 +18,15 @@
 // shape is 1 - 1/k (0.5 for k = 2, 0.667 for k = 3).
 
 #include <cstdio>
+#include <memory>
 
 #include "baseline/keywords_only.h"
 #include "baseline/structured_only.h"
 #include "bench_util.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "core/orp_kw.h"
-#include "core/query_engine.h"
+#include "serve/shard_replica.h"
 #include "workload/generator.h"
 
 namespace kwsc {
@@ -37,7 +39,8 @@ struct Workload {
   uint32_t frequent_pool;
 };
 
-void RunForK(int k, bench::JsonReport* report) {
+/// `pool` splits the batch column's batches (nullptr = one thread).
+void RunForK(int k, ThreadPool* pool, bench::JsonReport* report) {
   const Workload workloads[] = {
       {"W1-selective-box", KeywordPick::kFrequent, 0.0005, 4},
       {"W2-selective-keywords", KeywordPick::kCooccurring, 0.9, 16},
@@ -80,8 +83,11 @@ void RunForK(int k, bench::JsonReport* report) {
             PickQueryKeywords(corpus, k, w.pick, &rng, w.frequent_pool));
         batch.push_back({boxes.back(), kws.back()});
       }
-      // The same batch through the sharded engine, at hardware concurrency.
-      QueryEngine<OrpKwIndex<2>> engine(&index, /*num_threads=*/0);
+      // The same batch split across `pool`.
+      const auto answer = [&](QueryHistograms* histograms) {
+        return ParallelAnswerBatch<OrpKwIndex<2>, Box<2>>(index, batch, pool,
+                                                          histograms);
+      };
 
       uint64_t out_total = 0;
       uint64_t examined_total = 0;
@@ -102,9 +108,8 @@ void RunForK(int k, bench::JsonReport* report) {
       const double t_kw = bench::MedianMicros([&] {
         for (int i = 0; i < kQueries; ++i) keywords.QueryBox(boxes[i], kws[i]);
       }) / kQueries;
-      const double t_batch = bench::MedianMicros([&] {
-        engine.Run(batch);
-      }) / kQueries;
+      const double t_batch =
+          bench::MedianMicros([&] { answer(nullptr); }) / kQueries;
 
       const double n_weight = static_cast<double>(corpus.total_weight());
       const double out_avg = static_cast<double>(out_total) / kQueries;
@@ -128,7 +133,8 @@ void RunForK(int k, bench::JsonReport* report) {
         // Largest N only: per-query latency + work histograms per workload,
         // so the JSON record carries tails (p99), not just the medians the
         // table shows.
-        const auto probe = engine.Run(batch);
+        QueryHistograms probe;
+        answer(&probe);
         const std::string suffix = "_k" + std::to_string(k) + "_w" +
                                    std::to_string(int(&w - workloads));
         report->AddHistogram("query_latency_ns" + suffix, probe.latency,
@@ -158,8 +164,13 @@ int main() {
       "time ~ N^{1-1/k} (1 + OUT^{1/k}), space O(N); beats both naive "
       "baselines when either predicate is selective");
   kwsc::bench::JsonReport report("orp_kw");
-  kwsc::RunForK(2, &report);
-  kwsc::RunForK(3, &report);
+  // The batch column runs at hardware concurrency; the caller runs one slice
+  // itself, so T threads need T - 1 workers.
+  const int threads = kwsc::ResolveNumThreads(0);
+  const auto pool =
+      threads > 1 ? std::make_unique<kwsc::ThreadPool>(threads - 1) : nullptr;
+  kwsc::RunForK(2, pool.get(), &report);
+  kwsc::RunForK(3, pool.get(), &report);
   kwsc::bench::EmitJson(&report);
   return 0;
 }

@@ -14,7 +14,7 @@
 //     fewer bytes than the naive full-candidate gather (serve/merge.h wire
 //     cost model, also accumulated as serve.* counters in the registry).
 //   * determinism: canonical coordinator rows are byte-identical to the
-//     sorted unsharded engine rows — the bench hard-fails on divergence.
+//     sorted unsharded index rows — the bench hard-fails on divergence.
 //
 // Usage: bench_shard [num_objects] [num_queries] [top_t]
 // (defaults 32768 / 256 / 8; CI runs a tiny size as a schema smoke test).
@@ -30,11 +30,11 @@
 #include "common/random.h"
 #include "common/timer.h"
 #include "core/orp_kw.h"
-#include "core/query_engine.h"
 #include "obs/metrics.h"
 #include "obs/stats.h"
 #include "serve/coordinator.h"
 #include "serve/merge.h"
+#include "serve/shard_replica.h"
 #include "serve/shard_router.h"
 #include "workload/generator.h"
 
@@ -46,11 +46,10 @@ constexpr uint32_t kShardSweep[] = {1, 2, 4, 8};
 using Batch = std::vector<BatchQuery<Box<2>>>;
 using ServeCoordinator = Coordinator<OrpKwIndex<2>>;
 
-/// Canonical form of the unsharded engine's answer: ascending ids.
+/// Canonical form of the unsharded index's answer: ascending ids.
 std::vector<std::vector<ObjectId>> UnshardedReference(
     const OrpKwIndex<2>& index, const Batch& batch) {
-  QueryEngine<OrpKwIndex<2>> engine(&index, 1);
-  auto result = engine.Run(batch);
+  ShardAnswer result = AnswerBatch<OrpKwIndex<2>, Box<2>>(index, batch);
   for (auto& row : result.rows) std::sort(row.begin(), row.end());
   return result.rows;
 }
@@ -182,7 +181,7 @@ void Run(uint32_t num_objects, int num_queries, uint64_t top_t) {
     if (!identical || !top_identical) {
       std::fprintf(stderr,
                    "FATAL: S=%u sharded rows diverged from the unsharded "
-                   "engine (full=%d top%llu=%d)\n",
+                   "index (full=%d top%llu=%d)\n",
                    num_shards, int(identical),
                    static_cast<unsigned long long>(top_t),
                    int(top_identical));

@@ -6,7 +6,7 @@
 //   * build: wall-clock of OrpKwIndex construction at 1/2/4/8 threads, with
 //     a byte-identity check of the SaveFlat bytes against the 1-thread build
 //     (the determinism contract of the arena-splice parallel build);
-//   * query: QPS of the batched engine (core/query_engine.h) over a fixed
+//   * query: QPS of ParallelAnswerBatch (serve/shard_replica.h) over a fixed
 //     mixed batch at 1/2/4/8 threads, with per-query latency histograms
 //     (p50/p90/p99) and the QueryStats cost accounting exported to
 //     BENCH_throughput.json.
@@ -19,6 +19,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -26,10 +27,10 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/orp_kw.h"
-#include "core/query_engine.h"
-#include "obs/metrics.h"
+#include "serve/shard_replica.h"
 #include "workload/generator.h"
 
 namespace kwsc {
@@ -45,7 +46,6 @@ std::string FlatBytes(const OrpKwIndex<2>& index) {
 
 void Run(uint32_t num_objects, int num_queries) {
   bench::JsonReport report("throughput");
-  obs::MetricsRegistry registry;
   Rng rng(num_objects * 3 + 7);
   CorpusSpec spec;
   spec.num_objects = num_objects;
@@ -102,7 +102,7 @@ void Run(uint32_t num_objects, int num_queries) {
       std::exit(1);
     }
   }
-  registry.SetGauge("build_wall_ms", sequential_ms);
+  report.SetGauge("build_wall_ms", sequential_ms);
 
   // --- Batched query scaling ---------------------------------------------
   // Mixed batch: half selective boxes with frequent keywords, half broad
@@ -123,21 +123,24 @@ void Run(uint32_t num_objects, int num_queries) {
   std::printf("%8s %12s %12s %10s %12s %10s %10s\n", "threads", "batch(us)",
               "QPS", "speedup", "results", "p50(us)", "p99(us)");
   double single_thread_us = 0.0;
+  const auto answer = [&](ThreadPool* pool, QueryHistograms* histograms) {
+    return ParallelAnswerBatch<OrpKwIndex<2>, Box<2>>(*query_index, batch,
+                                                      pool, histograms);
+  };
   for (int threads : kThreadSweep) {
-    FrameworkOptions engine_opt;
-    engine_opt.num_threads = threads;
-    QueryEngine<OrpKwIndex<2>> engine(&*query_index, engine_opt, &registry);
-    const auto stats_probe = engine.Run(batch);
-    const double us = bench::MedianMicros([&] { engine.Run(batch); });
+    // The caller runs one slice itself, so T threads need T - 1 workers.
+    const auto pool =
+        threads > 1 ? std::make_unique<ThreadPool>(threads - 1) : nullptr;
+    QueryHistograms histograms;
+    const ShardAnswer stats_probe = answer(pool.get(), &histograms);
+    const double us =
+        bench::MedianMicros([&] { answer(pool.get(), nullptr); });
     if (threads == 1) single_thread_us = us;
     const double qps = us > 0 ? num_queries / (us / 1e6) : 0.0;
     const double speedup = us > 0 ? single_thread_us / us : 0.0;
-    const double p50_us =
-        static_cast<double>(stats_probe.latency.P50()) / 1e3;
-    const double p90_us =
-        static_cast<double>(stats_probe.latency.P90()) / 1e3;
-    const double p99_us =
-        static_cast<double>(stats_probe.latency.P99()) / 1e3;
+    const double p50_us = static_cast<double>(histograms.latency.P50()) / 1e3;
+    const double p90_us = static_cast<double>(histograms.latency.P90()) / 1e3;
+    const double p99_us = static_cast<double>(histograms.latency.P99()) / 1e3;
     std::printf("%8d %12.0f %12.0f %10.2f %12llu %10.1f %10.1f\n", threads,
                 us, qps, speedup,
                 static_cast<unsigned long long>(stats_probe.stats.results),
@@ -154,17 +157,16 @@ void Run(uint32_t num_objects, int num_queries) {
                      {"p99_us", p99_us}},
                     &report);
     report.AddHistogram("query_latency_ns_t" + std::to_string(threads),
-                        stats_probe.latency, "ns");
+                        histograms.latency, "ns");
     if (threads == 1) {
-      // The cost accounting is thread-count invariant (the engine's
+      // The cost accounting is thread-count invariant (ParallelAnswerBatch's
       // determinism contract); export the 1-thread aggregate once.
-      report.AddHistogram("query_work_objects", stats_probe.work, "objects");
+      report.AddHistogram("query_work_objects", histograms.work, "objects");
       obs::AddQueryStatsCounters(stats_probe.stats, "batch_stats",
                                  report.mutable_registry());
     }
   }
 
-  report.MergeRegistry(registry);
   bench::EmitJson(&report);
 }
 

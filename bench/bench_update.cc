@@ -29,7 +29,6 @@
 #include "common/timer.h"
 #include "core/dynamic_index.h"
 #include "core/orp_kw.h"
-#include "core/query_engine.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "workload/generator.h"

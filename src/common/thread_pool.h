@@ -4,7 +4,7 @@
 //
 // The library needs parallelism in exactly two shapes: recursive fork/join
 // during index construction (subtrees build independently, then join), and
-// flat sharding of query batches (core/query_engine.h). Both are served by a
+// flat slicing of query batches (serve/shard_replica.h). Both are served by a
 // fixed set of workers pulling from one FIFO queue — no work stealing, no
 // per-thread deques. The subtle requirement is nesting: a construction task
 // forks child tasks onto the *same* pool and waits for them, so a blocking

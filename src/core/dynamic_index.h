@@ -370,13 +370,24 @@ class DynamicIndex {
     index->num_objects_ = header.num_objects;
     auto dead = std::make_shared<std::vector<uint8_t>>();
     dead->resize(header.num_objects, 0);
+    // Every id is stored at most once across the buffer and the levels, and
+    // every live one exactly once (a carry drops the dead ids it gathers).
+    std::vector<uint8_t> stored(header.num_objects, 0);
+    const auto store = [&stored](ObjectId id) {
+      KWSC_CHECK_MSG(stored[id] == 0, "checkpoint stores id %u more than once",
+                     id);
+      stored[id] = 1;
+    };
     for (ObjectId id : index->buffer_ids_) {
       KWSC_CHECK_MSG(id < header.num_objects,
                      "checkpoint buffer id %u out of range (%llu objects)", id,
                      static_cast<unsigned long long>(header.num_objects));
+      store(id);
     }
     for (ObjectId id : dead_ids) {
       KWSC_CHECK(id < header.num_objects);
+      KWSC_CHECK_MSG((*dead)[id] == 0, "checkpoint lists dead id %u twice",
+                     id);
       (*dead)[id] = 1;
     }
     index->dead_ = std::move(dead);
@@ -395,6 +406,7 @@ class DynamicIndex {
       docs.reserve(id_map.size());
       for (ObjectId id : id_map) {
         KWSC_CHECK(id < header.num_objects);
+        store(id);
         level->geoms.push_back(index->all_geoms_[id]);
         docs.push_back(*index->all_docs_[id]);
       }
@@ -404,6 +416,10 @@ class DynamicIndex {
           std::span<const GeomType>(level->geoms), level->corpus.get(),
           options);
       index->levels_.push_back(std::move(level));
+    }
+    for (ObjectId id = 0; id < header.num_objects; ++id) {
+      KWSC_CHECK_MSG(stored[id] != 0 || (*index->dead_)[id] != 0,
+                     "checkpoint stores live id %u nowhere", id);
     }
     index->PublishLocked();
     return index;

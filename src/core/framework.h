@@ -66,21 +66,13 @@ struct FrameworkOptions {
   /// per node at a higher per-node cost; results are identical either way.
   bool exact_cell_tests = false;
 
-  /// Threads used to build the index (and, via core/query_engine.h, to shard
-  /// query batches): 0 = one per hardware thread, 1 = fully sequential.
+  /// Threads used to build the index: 0 = one per hardware thread, 1 = fully
+  /// sequential.
   /// Every setting produces the same index — parallel builds are
   /// byte-identical under SaveFlat — so this is purely a wall-clock knob.
   /// It is an execution property, not an index property, and is therefore
   /// excluded from serialization (see PersistedFrameworkOptions).
   int num_threads = 1;
-
-  /// Records a per-query trace (phase spans + a QueryStats snapshot per
-  /// query, see obs/trace.h) when batches run through core/query_engine.h.
-  /// Off by default: tracing copies a QueryStats per query, and the hot path
-  /// must not pay for observability nobody asked for. Like num_threads this
-  /// is an execution property, not an index property, and is excluded from
-  /// serialization (see PersistedFrameworkOptions).
-  bool enable_tracing = false;
 
   double EffectiveAlpha() const {
     return alpha > 0 ? alpha : 1.0 - 1.0 / static_cast<double>(k);
@@ -227,8 +219,8 @@ inline void MergeQueryStats(const QueryStats& from, QueryStats* into) {
 
 /// One batch entry: a query region (Box for the kd-tree and
 /// dimension-reduction indexes, a data rectangle for RR-KW, ConvexQuery for
-/// the partition substrates) plus its k query keywords. The batch unit of
-/// both QueryEngine (core/query_engine.h) and the serving layer (src/serve/).
+/// the partition substrates) plus its k query keywords. The unit of
+/// AnswerBatch and the serving layer (src/serve/).
 template <typename Region>
 struct BatchQuery {
   Region region;

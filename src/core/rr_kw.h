@@ -40,8 +40,8 @@ class RrKwIndex {
  public:
   static constexpr int kLiftedDim = 2 * D;
   using RectType = Box<D, Scalar>;
-  // The query-region type under the name the batched engine
-  // (core/query_engine.h) defaults to.
+  // The query-region type under the name ShardReplica
+  // (serve/shard_replica.h) defaults to.
   using BoxType = RectType;
   using Engine =
       std::conditional_t<kLiftedDim <= 2, OrpKwIndex<kLiftedDim, Scalar>,

@@ -24,13 +24,16 @@
 // BudgetedIndexView adapts any index with the uniform
 // Query(region, keywords, stats, budget) entry point into the 3-argument
 // Query(region, keywords, stats) shape, injecting the budget per query.
-// AnswerBatch is the one batch loop both replica kinds run; batch
-// parallelism comes from the shard fan-out, not from threads in a replica.
+// AnswerBatch is the one batch loop in the library: both replica kinds run
+// it, and ParallelAnswerBatch, which splits one batch across a thread pool
+// outside serving, runs it once per slice. Serving gets its parallelism from
+// the shard fan-out instead, never from threads in a replica.
 
 #ifndef KWSC_SERVE_SHARD_REPLICA_H_
 #define KWSC_SERVE_SHARD_REPLICA_H_
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <utility>
@@ -38,8 +41,10 @@
 
 #include "common/macros.h"
 #include "common/ops_budget.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/framework.h"
+#include "obs/histogram.h"
 #include "serve/shard_router.h"
 #include "text/corpus.h"
 #include "text/document.h"
@@ -92,21 +97,89 @@ class BudgetedIndexView {
   uint64_t per_query_ops_ = 0;
 };
 
+/// Per-query observations a batch loop records on request: each query's
+/// wall latency in nanoseconds and its work (QueryStats::ObjectsExamined).
+/// The work histogram is deterministic for a given batch.
+struct QueryHistograms {
+  obs::Histogram latency;
+  obs::Histogram work;
+};
+
 /// Answers `batch` through `view`: each query gets a fresh QueryStats, so an
 /// exhausted budget counts once per query, folded in batch order. Rows stay
-/// in local ids; the caller maps them and sets wall_micros.
+/// in local ids; the caller maps them and sets wall_micros. `histograms`,
+/// when non-null, gains one latency and one work sample per query; serving
+/// passes none, so its loop reads no clock.
 template <typename View, typename Region>
 ShardAnswer AnswerBatch(const View& view,
-                        std::span<const BatchQuery<Region>> batch) {
+                        std::span<const BatchQuery<Region>> batch,
+                        QueryHistograms* histograms = nullptr) {
   ShardAnswer answer;
   answer.rows.reserve(batch.size());
   for (const BatchQuery<Region>& q : batch) {
     QueryStats stats;
-    answer.rows.push_back(view.Query(q.region, q.keywords, &stats));
+    if (histograms == nullptr) {
+      answer.rows.push_back(view.Query(q.region, q.keywords, &stats));
+    } else {
+      const WallTimer timer;
+      answer.rows.push_back(view.Query(q.region, q.keywords, &stats));
+      histograms->latency.Record(static_cast<uint64_t>(timer.ElapsedNanos()));
+      histograms->work.Record(stats.ObjectsExamined());
+    }
     if (stats.budget_exhausted) ++answer.budget_exhaustions;
     MergeQueryStats(stats, &answer.stats);
   }
   return answer;
+}
+
+/// AnswerBatch split across `pool` (nullptr = the calling thread only): the
+/// batch is cut into min(pool->parallelism(), n) contiguous slices, slice 0
+/// runs on the caller, and the slice answers fold in slice order. Indexes
+/// are immutable, so the slices share `view` without locks, and the outcome
+/// (rows in index emission order, stats, budget count, work histogram) is
+/// the one a single AnswerBatch call gives at every pool size.
+template <typename View, typename Region>
+ShardAnswer ParallelAnswerBatch(const View& view,
+                                std::span<const BatchQuery<Region>> batch,
+                                ThreadPool* pool,
+                                QueryHistograms* histograms = nullptr) {
+  const size_t n = batch.size();
+  const size_t slices =
+      pool == nullptr ? 1 : std::min<size_t>(pool->parallelism(), n);
+  if (slices <= 1) return AnswerBatch(view, batch, histograms);
+  std::vector<ShardAnswer> answers(slices);
+  std::vector<QueryHistograms> slice_histograms(
+      histograms != nullptr ? slices : 0);
+  // Slice s owns [s*n/slices, (s+1)*n/slices) and writes only answers[s]
+  // and slice_histograms[s].
+  const auto run_slice = [&](size_t s) {
+    const size_t begin = s * n / slices;
+    answers[s] = AnswerBatch(
+        view, batch.subspan(begin, (s + 1) * n / slices - begin),
+        histograms != nullptr ? &slice_histograms[s] : nullptr);
+  };
+  {
+    TaskGroup group(pool);
+    for (size_t s = 1; s < slices; ++s) {
+      group.Run([&run_slice, s] { run_slice(s); });
+    }
+    run_slice(0);
+  }
+  ShardAnswer out = std::move(answers[0]);
+  out.rows.reserve(n);
+  for (size_t s = 1; s < slices; ++s) {
+    std::move(answers[s].rows.begin(), answers[s].rows.end(),
+              std::back_inserter(out.rows));
+    MergeQueryStats(answers[s].stats, &out.stats);
+    out.budget_exhaustions += answers[s].budget_exhaustions;
+  }
+  if (histograms != nullptr) {
+    for (const QueryHistograms& h : slice_histograms) {
+      histograms->latency.Merge(h.latency);
+      histograms->work.Merge(h.work);
+    }
+  }
+  return out;
 }
 
 template <typename Index, typename Region = typename Index::BoxType>

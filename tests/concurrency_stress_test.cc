@@ -1,8 +1,9 @@
 // Copyright 2026 The kwsc Authors. Licensed under the Apache License 2.0.
 //
 // Stress test for the internally locked MetricsRegistry (obs/metrics.h)
-// under real concurrency: several driver threads run their own QueryEngine
-// batches against one shared registry while others merge and snapshot it.
+// under real concurrency: several driver threads split their own batches
+// across private pools (ParallelAnswerBatch) and fold every batch into one
+// shared registry, while others merge and snapshot it.
 // Built for the tsan preset (it is in the tsan test filter), where any
 // locking mistake in the Mutex/CondVar/registry retrofit is a hard report;
 // under the plain build it still pins down the *exactness* contract —
@@ -22,10 +23,11 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "core/orp_kw.h"
-#include "core/query_engine.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
+#include "serve/shard_replica.h"
 #include "test_util.h"
 #include "text/corpus.h"
 #include "workload/generator.h"
@@ -77,20 +79,35 @@ StressWorld BuildWorld() {
   return world;
 }
 
-// The tentpole scenario: one registry shared by engines on different
+// Answers `batch` across `pool` and folds its counters and per-query
+// histograms into `registry`.
+void AnswerAndFold(const OrpKwIndex<2>& index,
+                   const std::vector<BatchQuery<Box<2>>>& batch,
+                   ThreadPool* pool, obs::MetricsRegistry* registry) {
+  QueryHistograms histograms;
+  const ShardAnswer answer = ParallelAnswerBatch<OrpKwIndex<2>, Box<2>>(
+      index, batch, pool, &histograms);
+  registry->AddCounter("batch.batches", 1);
+  registry->AddCounter("batch.queries", answer.rows.size());
+  registry->AddCounter("batch.ops_budget_exhausted",
+                       answer.budget_exhaustions);
+  registry->MergeHistogram("batch.query_latency_ns", histograms.latency);
+  registry->MergeHistogram("batch.query_work_objects", histograms.work);
+}
+
+// The tentpole scenario: one registry shared by batch loops on different
 // threads. Totals must come out exact — the commutative fold is the whole
 // reason the registry may be shared — and the deterministic work histogram
 // must equal the sequential reference bucket for bucket.
-TEST(ConcurrencyStress, SharedRegistryAcrossConcurrentEnginesIsExact) {
+TEST(ConcurrencyStress, SharedRegistryAcrossConcurrentBatchesIsExact) {
   const StressWorld world = BuildWorld();
 
   // Sequential reference: same batches, one thread, its own registry.
   obs::MetricsRegistry reference;
   for (int d = 0; d < kDrivers; ++d) {
-    FrameworkOptions opt;
-    opt.num_threads = 1;
-    QueryEngine<OrpKwIndex<2>> engine(world.index.get(), opt, &reference);
-    for (const auto& batch : world.batches[d]) engine.Run(batch);
+    for (const auto& batch : world.batches[d]) {
+      AnswerAndFold(*world.index, batch, /*pool=*/nullptr, &reference);
+    }
   }
 
   obs::MetricsRegistry shared;
@@ -98,35 +115,35 @@ TEST(ConcurrencyStress, SharedRegistryAcrossConcurrentEnginesIsExact) {
   drivers.reserve(kDrivers);
   for (int d = 0; d < kDrivers; ++d) {
     drivers.emplace_back([&world, &shared, d] {
-      // Each driver's engine itself shards across 2 threads, so the
-      // registry sees folds from engine-internal pool workers too.
-      FrameworkOptions opt;
-      opt.num_threads = 2;
-      QueryEngine<OrpKwIndex<2>> engine(world.index.get(), opt, &shared);
-      for (const auto& batch : world.batches[d]) engine.Run(batch);
+      // Each driver splits its batches across its own 2-way pool, so the
+      // shared registry folds answers whose slices ran on pool workers too.
+      ThreadPool pool(1);
+      for (const auto& batch : world.batches[d]) {
+        AnswerAndFold(*world.index, batch, &pool, &shared);
+      }
     });
   }
   for (std::thread& t : drivers) t.join();
 
   constexpr uint64_t kBatches = uint64_t{kDrivers} * kBatchesPerDriver;
   constexpr uint64_t kQueries = kBatches * kQueriesPerBatch;
-  EXPECT_EQ(shared.CounterValue("engine.batches"), kBatches);
-  EXPECT_EQ(shared.CounterValue("engine.queries"), kQueries);
-  EXPECT_EQ(shared.CounterValue("engine.batches"),
-            reference.CounterValue("engine.batches"));
-  EXPECT_EQ(shared.CounterValue("engine.queries"),
-            reference.CounterValue("engine.queries"));
-  EXPECT_EQ(shared.CounterValue("engine.ops_budget_exhausted"),
-            reference.CounterValue("engine.ops_budget_exhausted"));
+  EXPECT_EQ(shared.CounterValue("batch.batches"), kBatches);
+  EXPECT_EQ(shared.CounterValue("batch.queries"), kQueries);
+  EXPECT_EQ(shared.CounterValue("batch.batches"),
+            reference.CounterValue("batch.batches"));
+  EXPECT_EQ(shared.CounterValue("batch.queries"),
+            reference.CounterValue("batch.queries"));
+  EXPECT_EQ(shared.CounterValue("batch.ops_budget_exhausted"),
+            reference.CounterValue("batch.ops_budget_exhausted"));
 
   // Per-query work is deterministic, so the concurrent fold must reproduce
   // the sequential histogram exactly; latency values are wall time, so only
   // the sample count is pinned.
   const obs::Histogram work =
-      shared.HistogramSnapshot("engine.query_work_objects");
-  EXPECT_TRUE(work == reference.HistogramSnapshot("engine.query_work_objects"))
+      shared.HistogramSnapshot("batch.query_work_objects");
+  EXPECT_TRUE(work == reference.HistogramSnapshot("batch.query_work_objects"))
       << work.DebugString();
-  EXPECT_EQ(shared.HistogramSnapshot("engine.query_latency_ns").count(),
+  EXPECT_EQ(shared.HistogramSnapshot("batch.query_latency_ns").count(),
             kQueries);
 }
 

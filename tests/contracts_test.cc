@@ -22,6 +22,7 @@
 #include "baseline/ir_tree.h"
 #include "baseline/keywords_only.h"
 #include "baseline/structured_only.h"
+#include "common/thread_pool.h"
 #include "core/appendix_g.h"
 #include "core/dim_reduction.h"
 #include "core/dynamic_index.h"
@@ -31,7 +32,6 @@
 #include "core/nn_linf.h"
 #include "core/node_directory.h"
 #include "core/orp_kw.h"
-#include "core/query_engine.h"
 #include "core/rr_kw.h"
 #include "core/sp_kw_box.h"
 #include "core/sp_kw_hs.h"
@@ -42,6 +42,7 @@
 #include "ksi/framework_ksi.h"
 #include "ksi/naive_ksi.h"
 #include "parttree/ham_sandwich.h"
+#include "serve/shard_replica.h"
 #include "text/corpus.h"
 
 namespace kwsc {
@@ -246,12 +247,23 @@ static_assert(MemoryAccounted<Corpus>);
 static_assert(!FlatPersistable<Corpus>);
 static_assert(!SelfPersistable<OrpKwIndex<2>>);
 
-// The batched engine accepts any box-queryable family.
-static_assert(std::constructible_from<QueryEngine<OrpKwIndex<2>>,
-                                      const OrpKwIndex<2>*, int>);
-static_assert(std::constructible_from<QueryEngine<OrpKwIndex<2>>,
-                                      const OrpKwIndex<2>*,
-                                      const FrameworkOptions&>);
+// The batch path accepts a bare family and the budgeted view the replicas
+// answer through, in place and split across a pool.
+template <typename View, typename Region>
+concept BatchAnswerable =
+    requires(const View& view, const Region& q,
+             std::span<const KeywordId> keywords, QueryStats* stats,
+             std::span<const BatchQuery<Region>> batch, ThreadPool* pool,
+             QueryHistograms* histograms) {
+      { view.Query(q, keywords, stats) }
+          -> std::same_as<std::vector<ObjectId>>;
+      { AnswerBatch(view, batch, histograms) } -> std::same_as<ShardAnswer>;
+      { ParallelAnswerBatch(view, batch, pool, histograms) }
+          -> std::same_as<ShardAnswer>;
+    };
+static_assert(BatchAnswerable<OrpKwIndex<2>, Box<2>>);
+static_assert(
+    BatchAnswerable<BudgetedIndexView<OrpKwIndex<2>, Box<2>>, Box<2>>);
 
 // ---------------------------------------------------------------------------
 // Negative space: the concepts must reject malformed surfaces, not just

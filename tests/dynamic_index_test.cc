@@ -534,5 +534,87 @@ TEST(DynamicIndexCheckpointDeath, OutOfRangeBufferIdAborts) {
                "buffer id 2147483632 out of range");
 }
 
+// Saves `dynamic`, overwrites the ObjectId that sits `from_end` bytes before
+// the end of the stream (after checking it reads `want`), and returns the
+// patched bytes.
+std::string PatchCheckpointId(const DynamicIndex<OrpKwIndex<2>>& dynamic,
+                              size_t from_end, ObjectId want, ObjectId patch) {
+  std::ostringstream out;
+  dynamic.SaveCheckpoint(&out);
+  std::string bytes = out.str();
+  char* at = bytes.data() + bytes.size() - from_end;
+  ObjectId found = 0;
+  std::memcpy(&found, at, sizeof(found));
+  EXPECT_EQ(found, want);
+  std::memcpy(at, &patch, sizeof(patch));
+  return bytes;
+}
+
+// A buffer that repeats an id a level also holds would silently displace
+// the id it overwrote; the loader rejects it.
+TEST(DynamicIndexCheckpointDeath, BufferIdRepeatedInLevelAborts) {
+  FrameworkOptions opt;
+  opt.k = 2;
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt, /*buffer_capacity=*/4);
+  Rng rng(98);
+  for (int i = 0; i < 5; ++i) {
+    dynamic.Insert({{rng.NextDouble(), rng.NextDouble()}}, RandomDoc(rng));
+  }
+  // Ids 0-3 sit in slot 0 and id 4 in the buffer, so the stream ends with
+  // the buffer list [4], then slot 0: a presence byte and the u64-prefixed
+  // id map [0, 1, 2, 3].
+  ASSERT_EQ(dynamic.num_levels(), 1u);
+  const std::string bytes = PatchCheckpointId(
+      dynamic, 1 + 8 + 4 * sizeof(ObjectId) + sizeof(ObjectId), 4, 0);
+  std::istringstream in(bytes);
+  EXPECT_DEATH(DynamicIndex<OrpKwIndex<2>>::LoadCheckpoint(&in),
+               "checkpoint stores id 0 more than once");
+}
+
+// A tombstoned id a carry dropped may be stored nowhere; a live one may not.
+TEST(DynamicIndexCheckpointDeath, LiveIdStoredNowhereAborts) {
+  FrameworkOptions opt;
+  opt.k = 2;
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt, /*buffer_capacity=*/4);
+  Rng rng(99);
+  for (int i = 0; i < 4; ++i) {
+    dynamic.Insert({{rng.NextDouble(), rng.NextDouble()}}, RandomDoc(rng));
+  }
+  ASSERT_TRUE(dynamic.Delete(1));
+  for (int i = 0; i < 5; ++i) {
+    dynamic.Insert({{rng.NextDouble(), rng.NextDouble()}}, RandomDoc(rng));
+  }
+  // The second carry dropped id 1: slot 1 holds the 7 other ids of 0-7 and
+  // id 8 is buffered. The stream ends with the buffer list [8], slot 0's
+  // absent byte, then slot 1's presence byte and 7-id map. Renaming the
+  // buffered 8 to the dead 1 leaves live id 8 stored nowhere.
+  ASSERT_EQ(dynamic.num_levels(), 2u);
+  const std::string bytes = PatchCheckpointId(
+      dynamic, 1 + 1 + 8 + 7 * sizeof(ObjectId) + sizeof(ObjectId), 8, 1);
+  std::istringstream in(bytes);
+  EXPECT_DEATH(DynamicIndex<OrpKwIndex<2>>::LoadCheckpoint(&in),
+               "checkpoint stores live id 8 nowhere");
+}
+
+// A repeated tombstone would over-subtract the live count.
+TEST(DynamicIndexCheckpointDeath, RepeatedDeadIdAborts) {
+  FrameworkOptions opt;
+  opt.k = 2;
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt, /*buffer_capacity=*/8);
+  Rng rng(100);
+  for (int i = 0; i < 5; ++i) {
+    dynamic.Insert({{rng.NextDouble(), rng.NextDouble()}}, RandomDoc(rng));
+  }
+  ASSERT_TRUE(dynamic.Delete(1));
+  ASSERT_TRUE(dynamic.Delete(2));
+  // No carry has run: the stream ends with dead ids [1, 2], then the
+  // u64-prefixed buffer list [0..4].
+  const std::string bytes = PatchCheckpointId(
+      dynamic, 5 * sizeof(ObjectId) + 8 + sizeof(ObjectId), 2, 1);
+  std::istringstream in(bytes);
+  EXPECT_DEATH(DynamicIndex<OrpKwIndex<2>>::LoadCheckpoint(&in),
+               "checkpoint lists dead id 1 twice");
+}
+
 }  // namespace
 }  // namespace kwsc

@@ -2,7 +2,7 @@
 //
 // Shared-nothing serving (src/serve/): the router must produce total
 // disjoint balanced plans, and the coordinator's scatter-gather must be
-// invisible — canonical rows byte-identical to the unsharded engine for
+// invisible — canonical rows byte-identical to the unsharded index for
 // every shard count, strategy, fan-out mode, and top-t, with the selection
 // merge shipping no more bytes than the naive gather.
 
@@ -16,6 +16,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/ops_budget.h"
@@ -23,7 +24,6 @@
 #include "common/thread_pool.h"
 #include "core/dynamic_index.h"
 #include "core/orp_kw.h"
-#include "core/query_engine.h"
 #include "obs/metrics.h"
 #include "serve/dynamic_shard_replica.h"
 #include "serve/merge.h"
@@ -108,13 +108,14 @@ std::vector<std::vector<ObjectId>> CanonicalReference(
   FrameworkOptions opt;
   opt.k = 2;
   OrpKwIndex<2> index(data.points, &data.corpus, opt);
-  QueryEngine<OrpKwIndex<2>> engine(&index, 1);
-  auto result = engine.Run(batch);
-  for (auto& row : result.rows) {
+  std::vector<std::vector<ObjectId>> rows;
+  for (const BatchQuery<Box<2>>& q : batch) {
+    std::vector<ObjectId> row = index.Query(q.region, q.keywords);
     std::sort(row.begin(), row.end());
     if (top_t > 0 && row.size() > top_t) row.resize(top_t);
+    rows.push_back(std::move(row));
   }
-  return result.rows;
+  return rows;
 }
 
 void CheckPlanIsTotalDisjoint(const ShardPlan& plan, const Dataset& data,
